@@ -15,7 +15,14 @@ import numpy as np
 
 from .baselines import baseline_nearest, baseline_random_best, baseline_restart_hillclimb
 from .costs import placement_from_triples, placement_to_triples
-from .domain import GenConfig, Instance, generate_instance, instance_from_dict, instance_to_dict
+from .domain import (
+    GenConfig,
+    Instance,
+    generate_instance,
+    instance_from_dict,
+    instance_to_dict,
+    validate_instance,
+)
 from .errors import ConfigurationError, NoFeasibleState, SizeCapExceeded
 from .harness import ExperimentConfig, run_experiment_full, validate_p1_feasibility
 from .oracle import DEFAULT_SIZE_CAP, exact_solve
@@ -49,7 +56,14 @@ def _dump_json(data, path: str | None) -> None:
 
 def _load_instance(path: str) -> Instance:
     data = _load_json(path)
-    return instance_from_dict(data["instance"] if "instance" in data else data)
+    try:
+        inst = instance_from_dict(data["instance"] if "instance" in data else data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed instance {path}: {exc!r}") from exc
+    problems = validate_instance(inst)
+    if problems:
+        raise ConfigurationError(f"invalid instance {path}: " + "; ".join(problems))
+    return inst
 
 
 def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
@@ -64,9 +78,17 @@ def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
 
 
 def samples_from_dict(data: dict) -> SampleSet:
-    cycles = np.array(data["cycles"], dtype=np.float64)
+    missing = [key for key in ("components", "theta", "cycles") if key not in data]
+    if missing:
+        raise ConfigurationError(f"sample file is missing {', '.join(missing)}")
+    try:
+        cycles = np.array(data["cycles"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"sample file cycles are not a numeric matrix: {exc}") from exc
     if cycles.shape != (data["components"], data["theta"]):
         raise ConfigurationError("sample file dimensions do not match its header")
+    if not (np.isfinite(cycles) & (cycles > 0)).all():
+        raise ConfigurationError("sample file cycles must be finite and positive")
     return SampleSet(cycles=cycles)
 
 

@@ -262,9 +262,12 @@ def _worker(task: tuple[ExperimentConfig, int, int]) -> list[RunRecord]:
 def _num_workers() -> int:
     raw = os.environ.get("DTPLACE_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigurationError(f"DTPLACE_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_experiment_full(cfg: ExperimentConfig) -> ExperimentData:

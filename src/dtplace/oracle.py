@@ -13,6 +13,11 @@ from .saa import SaaParams, SampleSet, allowed_overloads, is_feasible, overload_
 
 DEFAULT_SIZE_CAP = 2_000_000
 
+# Bytes of (subsets, theta) load rows built at once for the feasibility table.
+LOAD_BLOCK_BYTES = 1 << 19
+# Most placements scored per step of the enumeration.
+STATE_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -25,6 +30,38 @@ class OracleResult:
         return self.optimum is not None
 
 
+def _subset_feasibility(inst: Instance, samples: SampleSet, budget: int) -> np.ndarray:
+    """(S, 2^K) table: server s hosting exactly the components in a bitmask
+    has at most ``budget`` scenarios with load strictly above capacity.
+
+    A subset's load is its parent's (the subset without its highest
+    component) plus that component's ``m[s] * cycles[k]``, so demands are
+    summed in ascending component order. The low bits come from one table
+    sized by ``LOAD_BLOCK_BYTES``; the high bits are walked depth first,
+    holding at most one such block per high bit at a time. The empty subset
+    is judged like any other, so a server with negative capacity is
+    overloaded even when it hosts nothing.
+    """
+    K, theta = samples.cycles.shape
+    low_bits = min(K, max(LOAD_BLOCK_BYTES // (8 * theta), 1).bit_length() - 1)
+    n_low = 1 << low_bits
+    ok = np.empty((inst.num_servers, 1 << K), dtype=bool)
+    for s in range(inst.num_servers):
+        step = inst.cost_rates[s] * samples.cycles
+        cap = inst.capacities[s]
+        low = np.zeros((n_low, theta))
+        for k in range(low_bits):
+            np.add(low[: 1 << k], step[k], out=low[1 << k : 2 << k])
+        pending = [(0, low)]
+        while pending:
+            high, block = pending.pop()
+            lo = high << low_bits
+            ok[s, lo : lo + n_low] = (block > cap).sum(axis=1) <= budget
+            for b in range(high.bit_length(), K - low_bits):
+                pending.append((high | 1 << b, block + step[low_bits + b]))
+    return ok
+
+
 def exact_solve(
     inst: Instance,
     samples: SampleSet,
@@ -33,68 +70,78 @@ def exact_solve(
 ) -> OracleResult:
     """Enumerate every placement; minimal-cost feasible one, first on ties.
 
-    Enumeration walks assignments in lexicographic order over the flat
-    component sequence with incremental cost and load updates; the reported
-    optimum is recomputed from scratch for the winning placement.
+    Placements are walked in lexicographic order (component 0 the most
+    significant digit) in blocks of at most ``STATE_BLOCK`` placements that
+    share their leading digits. A block's costs add each component's term
+    in ascending component order, and its feasibility is a lookup of every
+    server's hosted subset in the table from ``_subset_feasibility``. The
+    lowest cost of a block replaces the best so far only when strictly
+    smaller. ``size_cap`` bounds both the S^K placements and the 2^K subsets
+    per server. The reported optimum is recomputed from scratch for the
+    winning placement.
     """
     S, K = inst.num_servers, inst.total_components
     total_states = S**K
-    if total_states > size_cap:
+    if max(total_states, 2**K) > size_cap:
         raise SizeCapExceeded(
-            f"{S}^{K} = {total_states} placements exceeds the size cap {size_cap}"
+            f"{S}^{K} = {total_states} placements ({2**K} subsets per server) "
+            f"exceeds the size cap {size_cap}"
         )
 
+    ok = _subset_feasibility(inst, samples, allowed_overloads(params))
+
     r = inst.unit_transport_cost
-    e = inst.dist_server_device
+    two_r = 2.0 * r
     l_ss = inst.dist_server_server
     g = inst.exchange_matrix
-    h = inst.component_offload_kb
-    m = inst.cost_rates
-    cap = inst.capacities
-    cyc = samples.cycles
-    budget = allowed_overloads(params)
+    # offload[k, s]: cost of component k's offload to server s.
+    offload = (r * inst.component_offload_kb)[:, None] * inst.dist_server_device.T[
+        inst.component_device
+    ]
     # Siblings with a smaller flat index: each unordered pair is charged
     # twice (ordered-pair convention) when its second member is assigned.
     prev_sib = [np.nonzero(inst.sibling_mask[k][:k])[0] for k in range(K)]
 
-    assignment = np.zeros(K, dtype=np.int64)
-    load = np.zeros((S, samples.theta))
-    counts = np.zeros(S, dtype=np.int64)
-    over = 0  # servers currently above the overload budget
+    # A block holds the S^t placements that share their first K - t digits;
+    # tail[i] lists the trailing digits of its i-th placement.
+    t = min(K, 1)
+    while t < K and S ** (t + 1) <= STATE_BLOCK:
+        t += 1
+    head = K - t
+    block = S**t
+    tail = np.arange(block)[:, None] // S ** np.arange(t - 1, -1, -1) % S
+    tail_masks = np.zeros((S, block), dtype=np.int64)
+    for i in range(t):
+        tail_masks[tail[:, i], np.arange(block)] |= 1 << (head + i)
+
     best_cost = np.inf
-    best_assignment: np.ndarray | None = None
-
-    def recurse(k: int, cost: float) -> None:
-        nonlocal over, best_cost, best_assignment
-        if k == K:
-            if over == 0 and cost < best_cost:
-                best_cost = cost
-                best_assignment = assignment.copy()
-            return
-        d = int(inst.component_device[k])
-        sib = prev_sib[k]
+    best_index = -1
+    for p in range(S**head):
+        a = [p // S ** (head - 1 - k) % S for k in range(head)] + list(tail.T)
+        head_mask = [0] * S
+        for k in range(head):
+            head_mask[a[k]] |= 1 << k
+        cost = np.zeros(block)
+        for k in range(K):
+            term = offload[k, a[k]]
+            if prev_sib[k].size:
+                exchange = 0.0
+                for j in prev_sib[k]:
+                    exchange = exchange + g[k, j] * l_ss[a[k], a[j]]
+                term = term + two_r * exchange
+            cost += term
+        feasible = np.ones(block, dtype=bool)
         for s in range(S):
-            assignment[k] = s
-            delta = r * h[k] * e[s, d]
-            if sib.size:
-                delta += 2.0 * r * float(g[k, sib] @ l_ss[s, assignment[sib]])
-            saved_row = load[s].copy()
-            saved_count = int(counts[s])
-            load[s] = saved_row + m[s] * cyc[k]
-            counts[s] = (load[s] > cap[s]).sum()
-            over_delta = int(counts[s] > budget) - int(saved_count > budget)
-            over += over_delta
-            recurse(k + 1, cost + delta)
-            load[s] = saved_row
-            counts[s] = saved_count
-            over -= over_delta
-        assignment[k] = 0
+            feasible &= ok[s].take(tail_masks[s] | head_mask[s])
+        cost[~feasible] = np.inf
+        i = int(np.argmin(cost))
+        if cost[i] < best_cost:
+            best_cost = cost[i]
+            best_index = p * block + i
 
-    recurse(0, 0.0)
-
-    if best_assignment is None:
+    if best_index < 0:
         return OracleResult(optimum=None, argmin=None, states_enumerated=total_states)
-    placement = Placement(tuple(int(s) for s in best_assignment))
+    placement = Placement(tuple(best_index // S ** (K - 1 - k) % S for k in range(K)))
     exact_cost = evaluate(inst, placement).total
     profile = overload_profile(inst, samples, placement, params)
     if not is_feasible(profile, params):

@@ -256,3 +256,89 @@ def test_samples_file_roundtrip(tmp_path, instance_file):
          "--samples", str(path), "--out", str(out)]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "command", [["oracle"], ["solve"], ["baseline", "--which", "nearest"]]
+)
+def test_invalid_instance_exits_2(tmp_path, command, capsys):
+    inst = build_instance(
+        servers=[(0.0, 0.0, 1.0, 1e9), (30.0, 0.0, 1.0, -1.0)],
+        devices=[(5.0, 0.0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"instance": instance_to_dict(inst)}))
+    rc = main(
+        [*command, "--instance", str(path), "--seed", "1",
+         "--alpha", "0.1", "--epsilon", "0.1", "--theta", "10"]
+    )
+    assert rc == 2
+    assert "capacity not positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d.pop("components"),
+        lambda d: d.pop("theta"),
+        lambda d: d.pop("cycles"),
+        lambda d: d["cycles"][0].__setitem__(0, float("nan")),
+        lambda d: d["cycles"][0].__setitem__(0, float("inf")),
+        lambda d: d["cycles"][0].__setitem__(0, 0.0),
+        lambda d: d["cycles"][1].__setitem__(2, -5.0),
+        lambda d: d["cycles"][1].pop(),
+    ],
+    ids=["no-components", "no-theta", "no-cycles", "nan", "inf", "zero", "negative", "ragged"],
+)
+def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys):
+    from dtplace import SaaParams, draw_samples, instance_from_dict
+    from dtplace.cli import samples_to_dict
+
+    inst = instance_from_dict(json.loads(instance_file.read_text())["instance"])
+    payload = samples_to_dict(draw_samples(inst, SaaParams(0.05, 0.025, 50), 4))
+    mutate(payload)
+    path = tmp_path / "samples.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["oracle", *common_flags(instance_file), "--samples", str(path)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_count_exits_2(tmp_path, monkeypatch, value, capsys):
+    config = {
+        "axis": "devices",
+        "axis_values": [2],
+        "num_servers": 2,
+        "components_range": [1, 1],
+        "replications": 1,
+        "master_seed": 1,
+        "theta": 30,
+    }
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    monkeypatch.setenv("DTPLACE_THREADS", value)
+    rc = main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "DTPLACE_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["servers"][0].pop("capacity"), "malformed instance"),
+        (lambda d: d["devices"][0].__setitem__("x", "far"), "malformed instance"),
+        (lambda d: d["devices"][0]["components"][0]["exchange_kb"].append(1.0),
+         "exchange vector length"),
+    ],
+    ids=["missing-key", "not-a-number", "exchange-row-length"],
+)
+def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, message, capsys):
+    data = json.loads(instance_file.read_text())["instance"]
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    rc = main(["oracle", *common_flags(path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err

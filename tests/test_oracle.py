@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from dtplace import (
@@ -9,8 +10,10 @@ from dtplace import (
     NoFeasibleState,
     Placement,
     SaaParams,
+    SampleSet,
     SizeCapExceeded,
     StageConfig,
+    allowed_overloads,
     baseline_nearest,
     baseline_random_best,
     baseline_restart_hillclimb,
@@ -23,6 +26,7 @@ from dtplace import (
     random_feasible_state,
     stage_search,
 )
+from dtplace import oracle
 
 from conftest import build_instance, constant_samples
 
@@ -142,3 +146,163 @@ def test_oracle_feasibility_verdict_matches_sampler():
     roomy_samples = constant_samples(roomy, [5.0], theta=10)
     assert exact_solve(roomy, roomy_samples, params).feasible
     random_feasible_state(roomy, roomy_samples, params, 1)
+
+
+def scaled_samples(inst, params, seed, fill):
+    """Draws rescaled so an average server reaches capacity with ``fill``
+    average components; small ``fill`` makes capacity bind hard."""
+    samples = draw_samples(inst, params, seed)
+    per_component = inst.cost_rates.mean() * samples.cycles.mean()
+    scale = inst.capacities.mean() / (fill * per_component)
+    return SampleSet(cycles=samples.cycles * scale)
+
+
+def lexicographic_index(inst, placement):
+    index = 0
+    for s in placement.servers:
+        index = index * inst.num_servers + s
+    return index
+
+
+def assert_matches_bruteforce(inst, samples, params):
+    fast = exact_solve(inst, samples, params)
+    slow_opt, slow_pl = bruteforce_solve(inst, samples, params)
+    assert fast.states_enumerated == inst.num_servers**inst.total_components
+    if slow_opt is None:
+        assert not fast.feasible and fast.argmin is None
+    else:
+        assert fast.optimum == slow_opt
+        assert fast.argmin == slow_pl
+    return fast
+
+
+@pytest.mark.parametrize("num_servers", [2, 3, 4])
+@pytest.mark.parametrize("fill", [1.5, 3.0])
+def test_oracle_matches_bruteforce_on_three_component_devices(num_servers, fill):
+    # With three components per device, the third has two earlier siblings.
+    cfg = GenConfig(num_servers=num_servers, num_devices=2, components_range=(3, 3))
+    inst = generate_instance(cfg, 70 + num_servers)
+    params = SaaParams(alpha=0.1, epsilon=0.05, theta=60)
+    samples = scaled_samples(inst, params, 7 * num_servers, fill)
+    assert_matches_bruteforce(inst, samples, params)
+
+
+def test_oracle_matches_bruteforce_on_infeasible_instances():
+    outcomes = []
+    for seed, fill in itertools.product(range(3), (0.1, 1.0)):
+        cfg = GenConfig(num_servers=3, num_devices=2, components_range=(2, 3))
+        inst = generate_instance(cfg, 80 + seed)
+        params = SaaParams(alpha=0.1, epsilon=0.05, theta=40)
+        samples = scaled_samples(inst, params, seed, fill)
+        outcomes.append(assert_matches_bruteforce(inst, samples, params).feasible)
+    assert not all(outcomes)
+
+
+@pytest.mark.parametrize("state_block", [oracle.STATE_BLOCK, 3])
+def test_oracle_breaks_ties_lexicographically(monkeypatch, state_block):
+    # Servers 0 and 1 are identical and each fits one component; swapping
+    # them gives an equal-cost placement, and the first in order must win,
+    # also when the two fall in different blocks.
+    monkeypatch.setattr(oracle, "STATE_BLOCK", state_block)
+    servers = [(0, 0, 1.0, 7.0), (0, 0, 1.0, 7.0), (40, 0, 1.0, 1e9)]
+    device = (5, 0, [(5.0, 100.0, (0.0, 80.0, 60.0)),
+                     (5.0, 300.0, (80.0, 0.0, 70.0)),
+                     (5.0, 200.0, (60.0, 70.0, 0.0))])
+    inst = build_instance(servers=servers, devices=[device], unit_cost=0.5)
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5.0, 5.0, 5.0], theta=10)
+    result = assert_matches_bruteforce(inst, samples, params)
+    mirror = Placement(tuple({0: 1, 1: 0}.get(s, s) for s in result.argmin.servers))
+    assert mirror.servers > result.argmin.servers
+    assert evaluate(inst, mirror).total == result.optimum
+    assert is_feasible(overload_profile(inst, samples, mirror, params), params)
+
+
+def test_oracle_finds_a_winner_in_a_later_block():
+    # 3^9 placements span several blocks; server 0 is far away, so the best
+    # placement does not start with server 0 and lies past the first block.
+    servers = [(110, 110, 1.0, 1e9), (0, 0, 1.0, 12.0), (10, 0, 1.0, 22.0)]
+    devices = [
+        (x, 0, [(5.0, kb, row) for kb, row in zip(
+            (150.0, 250.0, 350.0),
+            ((0.0, 90.0, 50.0), (90.0, 0.0, 120.0), (50.0, 120.0, 0.0)),
+        )])
+        for x in (2, 6, 9)
+    ]
+    inst = build_instance(servers=servers, devices=devices, unit_cost=0.3)
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5.0] * 9, theta=10)
+    result = assert_matches_bruteforce(inst, samples, params)
+    assert lexicographic_index(inst, result.argmin) >= oracle.STATE_BLOCK
+
+
+def reference_subset_feasibility(inst, samples, budget):
+    """Loop form of the subset table: demands added in ascending order."""
+    K = inst.total_components
+    ok = np.empty((inst.num_servers, 2**K), dtype=bool)
+    for s in range(inst.num_servers):
+        for mask in range(2**K):
+            load = np.zeros(samples.theta)
+            for k in range(K):
+                if mask >> k & 1:
+                    load = load + inst.cost_rates[s] * samples.cycles[k]
+            ok[s, mask] = (load > inst.capacities[s]).sum() <= budget
+    return ok
+
+
+def test_subset_table_and_enumeration_are_block_size_independent(monkeypatch):
+    cfg = GenConfig(num_servers=3, num_devices=2, components_range=(3, 3))
+    inst = generate_instance(cfg, 75)
+    params = SaaParams(alpha=0.1, epsilon=0.05, theta=60)
+    samples = scaled_samples(inst, params, 9, 2.5)
+    budget = allowed_overloads(params)
+    reference = reference_subset_feasibility(inst, samples, budget)
+    assert reference.any() and not reference.all()
+    default = exact_solve(inst, samples, params)
+
+    # Four subsets per load block leaves four components to the high-bit
+    # walk; five placements per step gives blocks of three.
+    monkeypatch.setattr(oracle, "LOAD_BLOCK_BYTES", 8 * samples.theta * 4)
+    monkeypatch.setattr(oracle, "STATE_BLOCK", 5)
+    assert (oracle._subset_feasibility(inst, samples, budget) == reference).all()
+    assert exact_solve(inst, samples, params) == default
+
+
+def test_negative_capacity_server_overloads_even_when_empty():
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 1e9), (30, 0, 1.0, -1.0)],
+        devices=[(10, 0, [(5e6, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5e6], theta=10)
+    result = assert_matches_bruteforce(inst, samples, params)
+    assert not result.feasible
+
+
+def test_size_cap_counts_subsets_per_server():
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 1e9)],
+        devices=[(5, 0, [(5.0, 200.0, (0.0, 10.0, 10.0)),
+                         (5.0, 200.0, (10.0, 0.0, 10.0)),
+                         (5.0, 200.0, (10.0, 10.0, 0.0))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5.0] * 3, theta=10)
+    with pytest.raises(SizeCapExceeded):
+        exact_solve(inst, samples, params, size_cap=4)
+    assert exact_solve(inst, samples, params, size_cap=8).states_enumerated == 1
+
+
+def test_load_equal_to_capacity_is_not_an_overload():
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 10.0), (30, 0, 1.0, 1e9)],
+        devices=[(5, 0, [(5.0, 200.0, (0.0, 10.0)), (5.0, 200.0, (10.0, 0.0))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.09, epsilon=0.05, theta=10)
+    assert allowed_overloads(params) == 0
+    samples = constant_samples(inst, [5.0, 5.0], theta=10)
+    result = assert_matches_bruteforce(inst, samples, params)
+    assert result.argmin.servers == (0, 0)
