@@ -270,8 +270,11 @@ def _cmd_experiment(args) -> int:
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
     data = _load_json(args.placement)
-    triples = data["placement"] if isinstance(data, dict) else data
-    placement = placement_from_triples(inst, triples)
+    try:
+        triples = data["placement"] if isinstance(data, dict) else data
+        placement = placement_from_triples(inst, triples)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigurationError(f"malformed placement {args.placement}: {exc!r}") from exc
     proportion = validate_p1_feasibility(
         inst, placement, args.alpha, args.validation_theta, args.seed
     )

@@ -99,8 +99,12 @@ class Instance:
                 offload_kb[lo + c] = comp.offload_kb
                 mean_cycles[lo + c] = comp.mean_cycles
                 row = np.asarray(comp.exchange_kb, dtype=np.float64)
-                if row.shape == (hi - lo,):
-                    exchange[lo + c, lo:hi] = row
+                if row.shape != (hi - lo,):
+                    raise ValueError(
+                        f"device {dev.id} component {comp.id} exchange vector length "
+                        f"{row.size}, expected {hi - lo}"
+                    )
+                exchange[lo + c, lo:hi] = row
             sibling[lo:hi, lo:hi] = True
 
         np.fill_diagonal(sibling, False)
@@ -287,18 +291,14 @@ def validate_instance(inst: Instance) -> list[str]:
                 out.append(f"device {dev.id} component {comp.id} mean_cycles not positive")
             if not comp.offload_kb > 0:
                 out.append(f"device {dev.id} component {comp.id} offload_kb not positive")
-            if len(comp.exchange_kb) != n:
-                out.append(
-                    f"device {dev.id} component {comp.id} exchange vector length "
-                    f"{len(comp.exchange_kb)}, expected {n}"
-                )
+        # Exchange rows have the device's length: the Instance constructor checks it.
         for c in range(n):
             row = dev.components[c].exchange_kb
-            if len(row) == n and row[c] != 0:
+            if row[c] != 0:
                 out.append(f"device {dev.id} exchange matrix has nonzero self-entry at {c + 1}")
             for c2 in range(c + 1, n):
                 other = dev.components[c2].exchange_kb
-                if len(row) == n and len(other) == n and row[c2] != other[c]:
+                if row[c2] != other[c]:
                     out.append(
                         f"device {dev.id} exchange matrix asymmetric at ({c + 1}, {c2 + 1})"
                     )

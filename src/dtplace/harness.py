@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ConfigurationError("axis_values must not be empty")
         if any(v < 1 for v in self.axis_values):
             raise ConfigurationError("axis values must be >= 1")
+        if len(set(self.axis_values)) != len(self.axis_values):
+            raise ConfigurationError(f"axis_values must be distinct, got {list(self.axis_values)}")
         if self.num_servers < 1 or self.num_devices < 1:
             raise ConfigurationError("fixed entity counts must be >= 1")
         if self.replications < 1:

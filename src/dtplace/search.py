@@ -22,6 +22,9 @@ from .errors import NoFeasibleState
 from .saa import OverloadProfile, SaaParams, SampleSet, allowed_overloads, load_matrix, overload_profile
 from .seeding import stream
 
+# Upper bound on the float temporary of one candidate-count block.
+COUNT_BLOCK_BYTES = 128 * 1024
+
 
 @dataclass(frozen=True, eq=False)
 class SearchState:
@@ -84,7 +87,12 @@ class _MoveTables:
 
 
 class _Workspace:
-    """Mutable support structure for one climb; states snapshot from scratch."""
+    """Mutable support structure for one climb; states snapshot from scratch.
+
+    ``cand_counts[k, s]`` caches the overload count server ``s`` would have if
+    it also hosted component ``k``. A move changes the load of its source and
+    target servers only, so :meth:`apply` recounts just those two columns.
+    """
 
     def __init__(self, inst: Instance, samples: SampleSet, params: SaaParams, assignment):
         self.inst = inst
@@ -94,8 +102,37 @@ class _Workspace:
         self.allowed = allowed_overloads(params)
         self.load = load_matrix(inst, samples, self.assignment)
         self.counts = (self.load > inst.capacities[:, None]).sum(axis=1)
-        self.siblings = [np.nonzero(inst.sibling_mask[k])[0] for k in range(inst.total_components)]
+        K, S = inst.total_components, inst.num_servers
+        self.rows = np.arange(K)
+        self.e_rows = inst.dist_server_device[:, inst.component_device].T
+        # Siblings of k in ascending flat order, padded to the widest device;
+        # padding points at component 0 with weight 0.
+        sizes = np.diff(inst.component_offsets)[inst.component_device]
+        slot = np.arange(max(int(sizes.max(initial=1)) - 1, 0))
+        valid = slot[None, :] < (sizes - 1)[:, None]
+        idx = (
+            inst.component_offsets[inst.component_device][:, None]
+            + slot[None, :]
+            + (slot[None, :] >= inst.component_local_index[:, None])
+        )
+        self.sib_idx = np.where(valid, idx, 0)
+        self.sib_on = valid.astype(np.float64)
+        self.sib_g = np.where(valid, inst.exchange_matrix[self.rows[:, None], self.sib_idx], 0.0)
+        self.block_rows = max(1, COUNT_BLOCK_BYTES // (8 * samples.theta))
+        self.cand_counts = np.empty((K, S), dtype=np.int64)
+        for s in range(S):
+            self._count_column(s)
         self._refresh()
+
+    def _count_column(self, s: int) -> None:
+        """Recount ``cand_counts[:, s]`` from server s's load, by row blocks."""
+        cyc = self.samples.cycles
+        rate = self.inst.cost_rates[s]
+        cap = self.inst.capacities[s]
+        for lo in range(0, cyc.shape[0], self.block_rows):
+            cand = rate * cyc[lo : lo + self.block_rows]
+            cand += self.load[s]
+            self.cand_counts[lo : lo + len(cand), s] = np.count_nonzero(cand > cap, axis=1)
 
     def _refresh(self) -> None:
         pl = Placement(tuple(int(s) for s in self.assignment))
@@ -136,49 +173,29 @@ class _Workspace:
             else:
                 self.load[s] = 0.0
             self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
+            self._count_column(s)
         self._refresh()
 
     def move_tables(self) -> _MoveTables:
         inst = self.inst
-        K, S = inst.total_components, inst.num_servers
         r = inst.unit_transport_cost
-        e = inst.dist_server_device
-        l_ss = inst.dist_server_server
-        g = inst.exchange_matrix
-        h = inst.component_offload_kb
-        m = inst.cost_rates
-        cap = inst.capacities
-        cyc = self.samples.cycles
+        a = self.assignment
+        rows = self.rows
 
-        off_new = np.empty((K, S))
-        com_new = np.empty((K, S))
-        f1_new = np.empty((K, S))
-        f2_new = np.empty((K, S))
-        counts_new = np.empty((K, S), dtype=np.int64)
-        feasible = np.empty((K, S), dtype=bool)
+        shift = self.e_rows - self.e_rows[rows, a][:, None]
+        off_new = self.offload + (r * inst.component_offload_kb)[:, None] * shift
+        f1_new = self.dist_off + shift
 
-        for k in range(K):
-            a = int(self.assignment[k])
-            d = int(inst.component_device[k])
-            e_col = e[:, d]
-            off_new[k] = self.offload + r * h[k] * (e_col - e_col[a])
-            f1_new[k] = self.dist_off + (e_col - e_col[a])
-            sib = self.siblings[k]
-            if sib.size:
-                srv_sib = self.assignment[sib]
-                l_cols = l_ss[:, srv_sib]
-                pair_cost = l_cols @ g[k, sib]
-                pair_dist = l_cols.sum(axis=1)
-                com_new[k] = self.communication + 2.0 * r * (pair_cost - pair_cost[a])
-                f2_new[k] = self.dist_com + 2.0 * (pair_dist - pair_dist[a])
-            else:
-                com_new[k] = self.communication
-                f2_new[k] = self.dist_com
-            cand = self.load + m[:, None] * cyc[k][None, :]
-            counts_new[k] = (cand > cap[:, None]).sum(axis=1)
-            row_ok = counts_new[k] <= self.allowed
-            row_ok[a] = False
-            feasible[k] = row_ok
+        # (K, W, S): distance from every server to each sibling's server.
+        l_sib = inst.dist_server_server.T[a[self.sib_idx]]
+        pair_cost = (l_sib * self.sib_g[:, :, None]).sum(axis=1)
+        pair_dist = (l_sib * self.sib_on[:, :, None]).sum(axis=1)
+        com_new = self.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
+        f2_new = self.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
+
+        counts_new = self.cand_counts.copy()
+        feasible = counts_new <= self.allowed
+        feasible[rows, a] = False
         return _MoveTables(off_new, com_new, f1_new, f2_new, counts_new, feasible)
 
 

@@ -342,3 +342,22 @@ def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, messag
     rc = main(["oracle", *common_flags(path)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"placement": [[1, 1, 1], [2, 1]]},
+        {"result": []},
+        {"placement": [[1, 1, 1], [2, 1, 9]]},
+    ],
+    ids=["two-entry-triple", "no-placement-key", "unknown-server"],
+)
+def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, capsys):
+    path = tmp_path / "placement.json"
+    path.write_text(json.dumps(payload))
+    rc = main(["validate", "--instance", str(instance_file), "--placement", str(path), "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed placement" in err
+    assert str(path) in err

@@ -135,3 +135,11 @@ def test_serialization_round_trip_is_exact():
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ConfigurationError):
         generate_instance(GenConfig(**kwargs), 1)
+
+
+def test_constructor_rejects_wrong_length_exchange_row():
+    cfg = GenConfig(num_servers=2, num_devices=1, components_range=(2, 2))
+    data = instance_to_dict(generate_instance(cfg, 3))
+    data["devices"][0]["components"][0]["exchange_kb"].append(1.0)
+    with pytest.raises(ValueError, match="exchange vector length"):
+        instance_from_dict(data)

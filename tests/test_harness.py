@@ -206,3 +206,11 @@ def test_golden_checksum(tmp_path):
     sweep, conv = write_outputs(data.rows, data.convergence, tmp_path / "golden")
     digest = hashlib.sha256(sweep.read_bytes() + conv.read_bytes()).hexdigest()
     assert digest == "0ff3fb8d7f210491a8c05f6c43f4b551f31627086b97e7ddf3f235abefdd1125"
+
+
+def test_duplicate_axis_values_rejected():
+    cfg = tiny_config(axis_values=(3, 3))
+    with pytest.raises(ConfigurationError, match="distinct"):
+        cfg.validate()
+    with pytest.raises(ConfigurationError):
+        run_experiment_full(cfg)

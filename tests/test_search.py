@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dtplace import (
     GenConfig,
     NoFeasibleState,
     Placement,
     SaaParams,
+    SampleSet,
+    allowed_overloads,
     draw_samples,
     evaluate,
     exact_solve,
@@ -18,7 +22,9 @@ from dtplace import (
     overload_profile,
     random_feasible_state,
 )
-from dtplace.search import write_trajectory_csv
+from dtplace import search
+from dtplace.saa import load_matrix
+from dtplace.search import _Workspace, write_trajectory_csv
 
 from conftest import build_instance, constant_samples
 
@@ -240,3 +246,186 @@ def test_trajectory_csv_export(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "q,dist_off,dist_com,rho_endpoint"
     assert len(lines) == traj.length + 1
+
+
+def reference_tables(ws):
+    """Move tables by the one-component-at-a-time formula, from ws's state."""
+    inst = ws.inst
+    K, S = inst.total_components, inst.num_servers
+    r = inst.unit_transport_cost
+    e = inst.dist_server_device
+    l_ss = inst.dist_server_server
+    g = inst.exchange_matrix
+    m = inst.cost_rates
+    cyc = ws.samples.cycles
+    out = {name: np.empty((K, S)) for name in ("offload", "communication", "dist_off", "dist_com")}
+    counts = np.empty((K, S), dtype=np.int64)
+    feasible = np.empty((K, S), dtype=bool)
+    for k in range(K):
+        a = int(ws.assignment[k])
+        e_col = e[:, inst.component_device[k]]
+        out["offload"][k] = ws.offload + r * inst.component_offload_kb[k] * (e_col - e_col[a])
+        out["dist_off"][k] = ws.dist_off + (e_col - e_col[a])
+        sib = np.nonzero(inst.sibling_mask[k])[0]
+        if sib.size:
+            l_cols = l_ss[:, ws.assignment[sib]]
+            pair_cost = l_cols @ g[k, sib]
+            pair_dist = l_cols.sum(axis=1)
+            out["communication"][k] = ws.communication + 2.0 * r * (pair_cost - pair_cost[a])
+            out["dist_com"][k] = ws.dist_com + 2.0 * (pair_dist - pair_dist[a])
+        else:
+            out["communication"][k] = ws.communication
+            out["dist_com"][k] = ws.dist_com
+        cand = ws.load + m[:, None] * cyc[k][None, :]
+        counts[k] = (cand > inst.capacities[:, None]).sum(axis=1)
+        feasible[k] = counts[k] <= ws.allowed
+        feasible[k, a] = False
+    return out, counts, feasible
+
+
+def check_workspace(inst, samples, params, assignment, moves):
+    """Apply ``moves`` to a workspace and compare it with scratch after each one."""
+    ws = _Workspace(inst, samples, params, assignment)
+    K, S = inst.total_components, inst.num_servers
+    for step in range(len(moves) + 1):
+        if step:
+            ws.apply(*moves[step - 1])
+        load = load_matrix(inst, samples, ws.assignment)
+        assert np.array_equal(ws.load, load)
+        scratch_cand = np.stack(
+            [
+                ((load + inst.cost_rates[:, None] * samples.cycles[k]) > inst.capacities[:, None]).sum(axis=1)
+                for k in range(K)
+            ]
+        )
+        assert np.array_equal(ws.cand_counts, scratch_cand)
+
+        tables = ws.move_tables()
+        ref, ref_counts, ref_feasible = reference_tables(ws)
+        for name in ("offload", "dist_off", "dist_com"):
+            assert np.array_equal(getattr(tables, name), ref[name]), name
+        # Sibling exchange sums run in another order than the reference's
+        # matvec, so only the last bits may differ.
+        scale = max(1.0, abs(ws.communication), float(np.abs(ref["communication"]).max()))
+        np.testing.assert_allclose(tables.communication, ref["communication"], rtol=0, atol=1e-12 * scale)
+        assert np.array_equal(tables.counts, ref_counts)
+        assert np.array_equal(tables.feasible, ref_feasible)
+
+        budget = allowed_overloads(params)
+        for k in range(K):
+            for s in range(S):
+                if s == ws.assignment[k]:
+                    # Not a move; the table marks it infeasible (checked above).
+                    continue
+                servers = list(int(v) for v in ws.assignment)
+                servers[k] = s
+                pl = Placement(tuple(servers))
+                cost, feat = evaluate(inst, pl), features(inst, pl)
+                profile = overload_profile(inst, samples, pl, params)
+                assert tables.counts[k, s] == profile.overload_count[s]
+                assert tables.feasible[k, s] == (profile.overload_count[s] <= budget)
+                if not tables.feasible[k, s]:
+                    continue
+                assert tables.offload[k, s] == pytest.approx(cost.offload, rel=1e-9)
+                assert tables.communication[k, s] == pytest.approx(cost.communication, rel=1e-9, abs=1e-9)
+                assert tables.dist_off[k, s] == pytest.approx(feat.dist_off, rel=1e-9)
+                assert tables.dist_com[k, s] == pytest.approx(feat.dist_com, rel=1e-9, abs=1e-9)
+
+
+def random_instance(rng, num_servers, sizes, integral):
+    """Instance with the given device sizes; ``integral`` draws small whole
+    numbers for rates, capacities and cycles so loads often equal capacity."""
+    servers = []
+    for _ in range(num_servers):
+        x, y = rng.uniform(0, 100, size=2)
+        if integral:
+            servers.append((x, y, float(rng.integers(1, 3)), float(rng.integers(0, 12))))
+        else:
+            servers.append((x, y, rng.uniform(1, 10), rng.uniform(5, 60)))
+    devices = []
+    for n in sizes:
+        g = np.zeros((n, n))
+        upper = np.triu_indices(n, 1)
+        g[upper] = rng.uniform(50, 250, size=len(upper[0]))
+        g += g.T
+        comps = [(rng.uniform(1, 5), rng.uniform(100, 500), tuple(g[c])) for c in range(n)]
+        x, y = rng.uniform(0, 100, size=2)
+        devices.append((x, y, comps))
+    return build_instance(servers=servers, devices=devices, unit_cost=rng.uniform(0.1, 1.0))
+
+
+def random_samples(rng, inst, theta, integral):
+    K = inst.total_components
+    if integral:
+        return SampleSet(cycles=rng.integers(1, 6, size=(K, theta)).astype(np.float64))
+    means = inst.component_mean_cycles[:, None]
+    return SampleSet(cycles=means * rng.uniform(0.5, 1.5, size=(K, theta)))
+
+
+@st.composite
+def workspace_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_servers = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    theta = draw(st.integers(1, 40))
+    integral = draw(st.booleans())
+    epsilon = draw(st.sampled_from([0.05, 0.25, 0.5]))
+    K = sum(sizes)
+    moves = draw(
+        st.lists(st.tuples(st.integers(0, K - 1), st.integers(0, num_servers - 1)), max_size=6)
+    )
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_servers, sizes, integral)
+    samples = random_samples(rng, inst, theta, integral)
+    params = SaaParams(alpha=0.9, epsilon=epsilon, theta=theta)
+    assignment = rng.integers(0, num_servers, size=K)
+    return inst, samples, params, assignment, moves
+
+
+@pytest.mark.parametrize("block_bytes", [search.COUNT_BLOCK_BYTES, 1, 1000], ids=["default", "row", "few-rows"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=workspace_cases())
+def test_workspace_matches_scratch_after_random_moves(monkeypatch, block_bytes, case):
+    monkeypatch.setattr(search, "COUNT_BLOCK_BYTES", block_bytes)
+    check_workspace(*case)
+
+
+@pytest.mark.parametrize(
+    "num_servers, sizes, theta",
+    [
+        (1, (2, 1, 3), 30),
+        (3, (1, 2, 3), 30),
+        (3, (1, 1, 1, 1), 30),
+        (3, (3, 2, 3, 1, 2, 3), 1850),
+    ],
+    ids=["one-server", "mixed-sizes", "all-singletons", "several-blocks"],
+)
+def test_workspace_edge_cases_match_scratch(num_servers, sizes, theta):
+    rng = np.random.default_rng(len(sizes) * 100 + num_servers)
+    inst = random_instance(rng, num_servers, sizes, integral=False)
+    samples = random_samples(rng, inst, theta, integral=False)
+    params = SaaParams(alpha=0.5, epsilon=0.25, theta=theta)
+    K = inst.total_components
+    assignment = rng.integers(0, num_servers, size=K)
+    moves = [(int(rng.integers(0, K)), int(rng.integers(0, num_servers))) for _ in range(4)]
+    if theta == 1850:
+        assert _Workspace(inst, samples, params, assignment).block_rows < K
+    check_workspace(inst, samples, params, assignment, moves)
+
+
+def test_candidate_count_at_exact_capacity():
+    # Server 0 hosts component 0 (2 cycles); adding component 1 (3 cycles)
+    # brings its load to exactly its capacity, which is not an overload.
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 5.0), (10, 0, 1.0, 4.5)],
+        devices=[(5, 0, [(2.0, 200.0, (0.0, 80.0)), (3.0, 100.0, (80.0, 0.0))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [2.0, 3.0], theta=10)
+    ws = _Workspace(inst, samples, params, [0, 1])
+    assert ws.cand_counts[1, 0] == 0
+    assert ws.cand_counts[0, 1] == 10
+    tables = ws.move_tables()
+    assert tables.feasible[1, 0] and not tables.feasible[0, 1]
+    check_workspace(inst, samples, params, [0, 1], [(1, 0), (0, 1), (1, 1)])
