@@ -2,22 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .costs import Placement
 from .domain import Instance
-from .errors import ConfigurationError, NoFeasibleState
-from .saa import SaaParams, SampleSet, allowed_overloads
-from .search import SearchState, hill_climb, make_state, random_feasible_state
+from .errors import ConfigurationError
+from .saa import SaaParams, SampleSet
+from .search import RunSummary, SearchState, _greedy_fill, hill_climb, random_feasible_state
 from .seeding import child_seed
-
-
-@dataclass(frozen=True)
-class BaselineResult:
-    best_state: SearchState
-    states_visited: int
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -26,7 +15,7 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 def baseline_random_best(
     inst: Instance, samples: SampleSet, params: SaaParams, trials: int, seed: int
-) -> BaselineResult:
+) -> RunSummary:
     """Best of ``trials`` independent random feasible states."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
@@ -36,12 +25,12 @@ def baseline_random_best(
         if best is None or state.eval.total < best.eval.total:
             best = state
     assert best is not None
-    return BaselineResult(best_state=best, states_visited=trials)
+    return RunSummary(best_state=best, states_visited=trials, iterations=trials)
 
 
 def baseline_restart_hillclimb(
     inst: Instance, samples: SampleSet, params: SaaParams, trials: int, seed: int
-) -> BaselineResult:
+) -> RunSummary:
     """Cost descent from each of the same ``trials`` random starts; best endpoint.
 
     Start states match :func:`baseline_random_best` draw for draw, so its
@@ -58,37 +47,22 @@ def baseline_restart_hillclimb(
         if best is None or endpoint.eval.total < best.eval.total:
             best = endpoint
     assert best is not None
-    return BaselineResult(best_state=best, states_visited=visited)
+    return RunSummary(best_state=best, states_visited=visited, iterations=trials)
 
 
-def baseline_nearest(inst: Instance, samples: SampleSet, params: SaaParams) -> BaselineResult:
+def baseline_nearest(inst: Instance, samples: SampleSet, params: SaaParams) -> RunSummary:
     """Deterministic distance greedy: components go to the closest server that
     keeps every overload count within budget, spilling outward when saturated.
 
-    Devices and components are processed in index order; candidate servers in
-    increasing server-device distance, ties by server index.
+    Runs the shared first-fit greedy (:func:`search._greedy_fill`) with
+    components in index order and servers ranked by server-device distance,
+    ties by server index.
     """
-    budget = allowed_overloads(params)
-    S = inst.num_servers
-    cap = inst.capacities
-    assignment = np.full(inst.total_components, -1, dtype=np.int64)
-    load = np.zeros((S, samples.theta))
-    for k in range(inst.total_components):
-        d = int(inst.component_device[k])
-        ranked = np.argsort(inst.dist_server_device[:, d], kind="stable")
-        placed = False
-        for s in ranked:
-            cand = load[s] + inst.cost_rates[s] * samples.cycles[k]
-            if (cand > cap[s]).sum() <= budget:
-                assignment[k] = s
-                load[s] = cand
-                placed = True
-                break
-        if not placed:
-            raise NoFeasibleState(
-                f"distance greedy cannot place component {k} within the overload budget"
-            )
-    state = make_state(inst, samples, params, Placement(tuple(int(s) for s in assignment)))
-    if not (state.profile.overload_count <= budget).all():
-        raise NoFeasibleState("distance greedy produced an over-budget placement")
-    return BaselineResult(best_state=state, states_visited=1)
+    state = _greedy_fill(
+        inst,
+        samples,
+        params,
+        range(inst.total_components),
+        lambda k, load: inst.dist_server_device[:, inst.component_device[k]],
+    )
+    return RunSummary(best_state=state, states_visited=1, iterations=1)

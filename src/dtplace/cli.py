@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from .baselines import baseline_nearest, baseline_random_best, baseline_restart_hillclimb
 from .costs import placement_from_triples, placement_to_triples
 from .domain import (
     GenConfig,
@@ -24,12 +23,17 @@ from .domain import (
     validate_instance,
 )
 from .errors import ConfigurationError, NoFeasibleState, SizeCapExceeded
-from .harness import ExperimentConfig, run_experiment_full, validate_p1_feasibility
+from .harness import (
+    ExperimentConfig,
+    RunSummary,
+    run_algorithm,
+    run_experiment_full,
+    validate_p1_feasibility,
+    write_outputs,
+)
 from .oracle import DEFAULT_SIZE_CAP, exact_solve
 from .saa import SampleSet, SaaParams, draw_samples
-from .stage import StageConfig, stage_search
-
-RISK_DEFAULTS = {"alpha": 0.01, "epsilon": 0.005, "theta": 1850}
+from .stage import StageConfig, write_iteration_log
 
 
 def _parse_components(text: str) -> tuple[int, int]:
@@ -40,9 +44,14 @@ def _parse_components(text: str) -> tuple[int, int]:
         raise ConfigurationError(f"components must look like LO..HI, got {text!r}") from exc
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+def _load_json(path: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bad JSON or bytes that are not text
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _dump_json(data, path: str | None) -> None:
@@ -107,8 +116,8 @@ def _get_samples(inst: Instance, args, params: SaaParams) -> SampleSet:
     return draw_samples(inst, params, args.seed)
 
 
-def _result_record(algorithm, inst, state, *, seed, states_visited, iterations,
-                   converged=False, per_iteration_rho=()) -> dict:
+def _result_record(algorithm: str, inst: Instance, run: RunSummary, seed: int) -> dict:
+    state = run.best_state
     return {
         "algorithm": algorithm,
         "seed": seed,
@@ -116,10 +125,10 @@ def _result_record(algorithm, inst, state, *, seed, states_visited, iterations,
         "offload": state.eval.offload,
         "communication": state.eval.communication,
         "cost_per_server": state.eval.total / inst.num_servers,
-        "states_visited": states_visited,
-        "iterations": iterations,
-        "converged": converged,
-        "per_iteration_rho": list(per_iteration_rho),
+        "states_visited": run.states_visited,
+        "iterations": run.iterations,
+        "converged": run.converged,
+        "per_iteration_rho": list(run.per_iteration_optima),
         "max_overload_proportion": float(state.profile.proportion.max()),
         "placement": [list(t) for t in placement_to_triples(inst, state.placement)],
     }
@@ -158,22 +167,11 @@ def _cmd_solve(args) -> int:
     cfg = StageConfig(
         delta=args.delta, max_iterations=args.max_iterations, phase2_step_cap=args.phase2_step_cap
     )
-    result = stage_search(inst, samples, params, cfg, args.seed)
+    run = run_algorithm("stage", inst, samples, params, args.seed, stage=cfg)
     if args.iteration_log:
-        from .stage import write_iteration_log
-
-        write_iteration_log(result, args.iteration_log)
-    record = _result_record(
-        "stage",
-        inst,
-        result.best_state,
-        seed=args.seed,
-        states_visited=result.total_states_visited,
-        iterations=result.iterations,
-        converged=result.converged,
-        per_iteration_rho=result.per_iteration_optima,
-    )
-    record["final_rho"] = result.final_state.eval.total
+        write_iteration_log(run.result, args.iteration_log)
+    record = _result_record("stage", inst, run, args.seed)
+    record["final_rho"] = run.result.final_state.eval.total
     _dump_json(record, args.out)
     return 0
 
@@ -182,26 +180,8 @@ def _cmd_baseline(args) -> int:
     inst = _load_instance(args.instance)
     params = _saa_from_args(args)
     samples = _get_samples(inst, args, params)
-    if args.which == "random":
-        res = baseline_random_best(inst, samples, params, args.trials, args.seed)
-        iterations = args.trials
-    elif args.which == "restart":
-        res = baseline_restart_hillclimb(inst, samples, params, args.trials, args.seed)
-        iterations = args.trials
-    else:
-        res = baseline_nearest(inst, samples, params)
-        iterations = 1
-    _dump_json(
-        _result_record(
-            args.which,
-            inst,
-            res.best_state,
-            seed=args.seed,
-            states_visited=res.states_visited,
-            iterations=iterations,
-        ),
-        args.out,
-    )
+    run = run_algorithm(args.which, inst, samples, params, args.seed, trials=args.trials)
+    _dump_json(_result_record(args.which, inst, run, args.seed), args.out)
     return 0
 
 
@@ -231,36 +211,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_experiment(args) -> int:
     raw = _load_json(args.config)
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    if args.replications is not None:
-        raw["replications"] = args.replications
-    try:
-        cfg = ExperimentConfig(
-            axis=raw["axis"],
-            axis_values=tuple(int(v) for v in raw["axis_values"]),
-            num_servers=int(raw.get("num_servers", 6)),
-            num_devices=int(raw.get("num_devices", 5)),
-            components_range=tuple(raw.get("components_range", [1, 3])),
-            replications=int(raw["replications"]),
-            master_seed=int(raw["master_seed"]),
-            saa=SaaParams(
-                alpha=float(raw.get("alpha", RISK_DEFAULTS["alpha"])),
-                epsilon=float(raw.get("epsilon", RISK_DEFAULTS["epsilon"])),
-                theta=int(raw.get("theta", RISK_DEFAULTS["theta"])),
-            ),
-            stage=StageConfig(
-                delta=float(raw.get("delta", 0.015)),
-                max_iterations=int(raw.get("max_iterations", 10)),
-                phase2_step_cap=int(raw.get("phase2_step_cap", 500)),
-            ),
-            baseline_trials=int(raw.get("baseline_trials", 10)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"experiment config is missing key {exc}") from exc
-    data = run_experiment_full(cfg)
-    from .harness import write_outputs
-
+    if isinstance(raw, dict):  # from_dict rejects anything else
+        for key, value in (("master_seed", args.seed), ("replications", args.replications)):
+            if value is not None:
+                raw[key] = value
+    data = run_experiment_full(ExperimentConfig.from_dict(raw))
     sweep, conv = write_outputs(data.rows, data.convergence, args.out)
     print(f"wrote {sweep}")
     print(f"wrote {conv}")
@@ -286,9 +241,9 @@ def _cmd_validate(args) -> int:
 
 
 def _add_saa_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=RISK_DEFAULTS["alpha"])
-    p.add_argument("--epsilon", type=float, default=RISK_DEFAULTS["epsilon"])
-    p.add_argument("--theta", type=int, default=RISK_DEFAULTS["theta"])
+    p.add_argument("--alpha", type=float, default=SaaParams.alpha)
+    p.add_argument("--epsilon", type=float, default=SaaParams.epsilon)
+    p.add_argument("--theta", type=int, default=SaaParams.theta)
     p.add_argument("--samples", help="JSON sample-set file (drawn from --seed when omitted)")
 
 
@@ -304,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--devices", type=int, required=True)
     p.add_argument("--components", required=True, help="range LO..HI, e.g. 1..3")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--area-side", type=float, default=120.0)
+    p.add_argument("--area-side", type=float, default=GenConfig.area_side)
     p.add_argument("--out", help="output file (stdout when omitted)")
     p.set_defaults(func=_cmd_gen)
 
@@ -312,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_saa_flags(p)
-    p.add_argument("--delta", type=float, default=0.015)
-    p.add_argument("--max-iterations", type=int, default=10)
-    p.add_argument("--phase2-step-cap", type=int, default=500)
+    p.add_argument("--delta", type=float, default=StageConfig.delta)
+    p.add_argument("--max-iterations", type=int, default=StageConfig.max_iterations)
+    p.add_argument("--phase2-step-cap", type=int, default=StageConfig.phase2_step_cap)
     p.add_argument("--samples-out", help="persist the drawn sample set for replay")
     p.add_argument("--iteration-log", help="write the per-iteration CSV log")
     p.add_argument("--out")
@@ -324,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("random", "restart", "nearest"), required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=ExperimentConfig.baseline_trials)
     _add_saa_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_baseline)
@@ -347,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="fresh-sample overload check of a placement")
     p.add_argument("--instance", required=True)
     p.add_argument("--placement", required=True, help="solve/baseline result JSON")
-    p.add_argument("--alpha", type=float, default=RISK_DEFAULTS["alpha"])
+    p.add_argument("--alpha", type=float, default=SaaParams.alpha)
     p.add_argument("--validation-theta", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_validate)

@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,47 +22,68 @@ from .baselines import baseline_nearest, baseline_random_best, baseline_restart_
 from .costs import Placement
 from .domain import GenConfig, Instance, generate_instance
 from .errors import ConfigurationError, NoFeasibleState
-from .saa import SaaParams, draw_samples, overload_profile
+from .saa import SaaParams, SampleSet, draw_samples, overload_profile
+from .search import RunSummary
 from .seeding import child_seed
 from .stage import StageConfig, stage_search
 
-ALGORITHMS = ("nearest", "random", "restart", "stage")
-
 AXIS_SERVERS = "servers"
 AXIS_DEVICES = "devices"
-
-SWEEP_COLUMNS = (
-    "axis",
-    "axis_value",
-    "servers",
-    "devices",
-    "components_lo",
-    "components_hi",
-    "algorithm",
-    "mean_cost_per_server",
-    "sd_cost_per_server",
-    "mean_states",
-    "sd_states",
-    "mean_iterations",
-    "sd_iterations",
-    "replications",
-    "infeasible_count",
-    "seed",
-)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     axis: str  # "servers" or "devices"
     axis_values: tuple[int, ...]
-    num_servers: int  # fixed value when sweeping devices
-    num_devices: int  # fixed value when sweeping servers
-    components_range: tuple[int, int]
     replications: int
     master_seed: int
-    saa: SaaParams
+    num_servers: int = 6  # fixed value when sweeping devices
+    num_devices: int = 5  # fixed value when sweeping servers
+    components_range: tuple[int, int] = (1, 3)
+    saa: SaaParams = SaaParams()
     stage: StageConfig = StageConfig()
     baseline_trials: int = 10
+
+    @classmethod
+    def from_dict(cls, raw) -> ExperimentConfig:
+        """Build and validate a config from a parsed JSON object.
+
+        ``axis``, ``axis_values``, ``replications`` and ``master_seed`` are
+        required. The optional keys are the other fields plus the fields of
+        :class:`SaaParams` and :class:`StageConfig`, flattened; an absent key
+        keeps its dataclass default, which the CLI flags read as well. Every
+        value goes through ``int()`` or ``float()``; anything that does not
+        convert, a missing key and an invalid value raise
+        :class:`ConfigurationError`.
+        """
+        if not isinstance(raw, dict):
+            raise ConfigurationError(
+                f"experiment config must be a JSON object, got {type(raw).__name__}"
+            )
+
+        def present(**converters):
+            return {key: conv(raw[key]) for key, conv in converters.items() if key in raw}
+
+        try:
+            lo, hi = (int(v) for v in raw.get("components_range", cls.components_range))
+            cfg = cls(
+                axis=raw["axis"],
+                axis_values=tuple(int(v) for v in raw["axis_values"]),
+                replications=int(raw["replications"]),
+                master_seed=int(raw["master_seed"]),
+                components_range=(lo, hi),
+                saa=SaaParams(**present(alpha=float, epsilon=float, theta=int)),
+                stage=StageConfig(**present(delta=float, max_iterations=int, phase2_step_cap=int)),
+                **present(num_servers=int, num_devices=int, baseline_trials=int),
+            )
+        except ConfigurationError:
+            raise
+        except KeyError as exc:
+            raise ConfigurationError(f"experiment config is missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed experiment config: {exc}") from exc
+        cfg.validate()
+        return cfg
 
     def validate(self) -> None:
         if self.axis not in (AXIS_SERVERS, AXIS_DEVICES):
@@ -88,18 +109,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One algorithm on one (cell, replication)."""
+    """One algorithm on one (cell, replication); an infeasible run keeps the
+    defaults: no cost and no search effort."""
 
     axis_value: int
     rep: int
     algorithm: str
     feasible: bool
-    rho: float
-    cost_per_server: float
-    states: int
-    iterations: int
-    converged: bool
-    per_iteration_rho: tuple[float, ...]
+    rho: float = math.nan
+    cost_per_server: float = math.nan
+    states: int = 0
+    iterations: int = 0
+    converged: bool = False
+    per_iteration_rho: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -124,6 +146,9 @@ class MetricsRow:
     seed: int
 
 
+SWEEP_COLUMNS = tuple(f.name for f in fields(MetricsRow))
+
+
 @dataclass(frozen=True)
 class ExperimentData:
     rows: tuple[MetricsRow, ...]
@@ -141,19 +166,50 @@ def _cell_seed(cfg: ExperimentConfig, value: int, rep: int, *labels: str) -> int
     return child_seed(cfg.master_seed, f"cell={cfg.axis}:{value}", f"rep={rep}", *labels)
 
 
-def _infeasible_record(value: int, rep: int, alg: str) -> RunRecord:
-    return RunRecord(
-        axis_value=value,
-        rep=rep,
-        algorithm=alg,
-        feasible=False,
-        rho=math.nan,
-        cost_per_server=math.nan,
-        states=0,
-        iterations=0,
-        converged=False,
-        per_iteration_rho=(),
+def _stage(inst, samples, params, seed, stage, trials) -> RunSummary:
+    res = stage_search(inst, samples, params, stage, seed)
+    return RunSummary(
+        best_state=res.best_state,
+        states_visited=res.total_states_visited,
+        iterations=res.iterations,
+        converged=res.converged,
+        per_iteration_optima=res.per_iteration_optima,
+        result=res,
     )
+
+
+# In run order. The entries look the algorithms up as module globals at call
+# time, so rebinding one of those names (as a tracer does) reaches every run.
+_ALGORITHMS = {
+    "stage": _stage,
+    "random": lambda inst, samples, params, seed, stage, trials: baseline_random_best(
+        inst, samples, params, trials, seed
+    ),
+    "restart": lambda inst, samples, params, seed, stage, trials: baseline_restart_hillclimb(
+        inst, samples, params, trials, seed
+    ),
+    "nearest": lambda inst, samples, params, seed, stage, trials: baseline_nearest(
+        inst, samples, params
+    ),
+}
+
+
+def run_algorithm(
+    name: str,
+    inst: Instance,
+    samples: SampleSet,
+    params: SaaParams,
+    seed: int,
+    stage: StageConfig = StageConfig(),
+    trials: int = ExperimentConfig.baseline_trials,
+) -> RunSummary:
+    """Run ``stage``, ``random``, ``restart`` or ``nearest`` on one draw.
+
+    ``stage`` configures only the learned-restart search and ``trials`` only
+    the random and restart baselines. Raises :class:`NoFeasibleState` when
+    the algorithm finds no placement within the overload budget.
+    """
+    return _ALGORITHMS[name](inst, samples, params, seed, stage, trials)
 
 
 def run_cell_rep(cfg: ExperimentConfig, value: int, rep: int) -> list[RunRecord]:
@@ -164,101 +220,36 @@ def run_cell_rep(cfg: ExperimentConfig, value: int, rep: int) -> list[RunRecord]
     )
     inst = generate_instance(gen, _cell_seed(cfg, value, rep, "instance"))
     samples = draw_samples(inst, cfg.saa, _cell_seed(cfg, value, rep, "samples"))
-    records: list[RunRecord] = []
-
-    def cps(rho: float) -> float:
-        return rho / servers
-
-    try:
-        result = stage_search(
-            inst, samples, cfg.saa, cfg.stage, _cell_seed(cfg, value, rep, "alg=stage")
-        )
-        records.append(
-            RunRecord(
-                axis_value=value,
-                rep=rep,
-                algorithm="stage",
-                feasible=True,
-                rho=result.best_state.eval.total,
-                cost_per_server=cps(result.best_state.eval.total),
-                states=result.total_states_visited,
-                iterations=result.iterations,
-                converged=result.converged,
-                per_iteration_rho=result.per_iteration_optima,
-            )
-        )
-    except NoFeasibleState:
-        records.append(_infeasible_record(value, rep, "stage"))
-
     # Baselines draw the same feasible starts: the random baseline's states
     # are exactly the restart baseline's starting points.
-    trial_seed = _cell_seed(cfg, value, rep, "baseline-starts")
-
-    try:
-        res = baseline_random_best(inst, samples, cfg.saa, cfg.baseline_trials, trial_seed)
+    baseline_seed = _cell_seed(cfg, value, rep, "baseline-starts")
+    records: list[RunRecord] = []
+    for alg in _ALGORITHMS:
+        seed = _cell_seed(cfg, value, rep, "alg=stage") if alg == "stage" else baseline_seed
+        try:
+            run = run_algorithm(alg, inst, samples, cfg.saa, seed, cfg.stage, cfg.baseline_trials)
+        except NoFeasibleState:
+            records.append(RunRecord(value, rep, alg, feasible=False))
+            continue
+        rho = run.best_state.eval.total
         records.append(
             RunRecord(
                 axis_value=value,
                 rep=rep,
-                algorithm="random",
+                algorithm=alg,
                 feasible=True,
-                rho=res.best_state.eval.total,
-                cost_per_server=cps(res.best_state.eval.total),
-                states=res.states_visited,
-                iterations=cfg.baseline_trials,
-                converged=False,
-                per_iteration_rho=(),
+                rho=rho,
+                cost_per_server=rho / servers,
+                # nearest builds one placement without searching. Sweep rows
+                # report it at the trial budget the sampling baselines share;
+                # the solve/baseline JSON reports the one state it built.
+                states=cfg.baseline_trials if alg == "nearest" else run.states_visited,
+                iterations=run.iterations,
+                converged=run.converged,
+                per_iteration_rho=run.per_iteration_optima,
             )
         )
-    except NoFeasibleState:
-        records.append(_infeasible_record(value, rep, "random"))
-
-    try:
-        res = baseline_restart_hillclimb(inst, samples, cfg.saa, cfg.baseline_trials, trial_seed)
-        records.append(
-            RunRecord(
-                axis_value=value,
-                rep=rep,
-                algorithm="restart",
-                feasible=True,
-                rho=res.best_state.eval.total,
-                cost_per_server=cps(res.best_state.eval.total),
-                states=res.states_visited,
-                iterations=cfg.baseline_trials,
-                converged=False,
-                per_iteration_rho=(),
-            )
-        )
-    except NoFeasibleState:
-        records.append(_infeasible_record(value, rep, "restart"))
-
-    try:
-        res = baseline_nearest(inst, samples, cfg.saa)
-        records.append(
-            RunRecord(
-                axis_value=value,
-                rep=rep,
-                algorithm="nearest",
-                feasible=True,
-                rho=res.best_state.eval.total,
-                cost_per_server=cps(res.best_state.eval.total),
-                # Non-searching baseline: reported exploration stays fixed at
-                # the trial budget shared by the sampling baselines.
-                states=cfg.baseline_trials,
-                iterations=1,
-                converged=False,
-                per_iteration_rho=(),
-            )
-        )
-    except NoFeasibleState:
-        records.append(_infeasible_record(value, rep, "nearest"))
-
     return records
-
-
-def _worker(task: tuple[ExperimentConfig, int, int]) -> list[RunRecord]:
-    cfg, value, rep = task
-    return run_cell_rep(cfg, value, rep)
 
 
 def _num_workers() -> int:
@@ -278,34 +269,22 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentData:
     workers = min(_num_workers(), len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_worker, tasks))
+            chunks = list(pool.map(run_cell_rep, *zip(*tasks)))
     else:
-        chunks = [_worker(t) for t in tasks]
+        chunks = [run_cell_rep(*t) for t in tasks]
     records = [rec for chunk in chunks for rec in chunk]
 
     rows: list[MetricsRow] = []
-    servers_by_value = {}
-    for value in cfg.axis_values:
-        servers_by_value[value] = _cell_shape(cfg, value)
     for value in sorted(set(cfg.axis_values)):
-        servers, devices = servers_by_value[value]
-        for alg in sorted(ALGORITHMS):
+        servers, devices = _cell_shape(cfg, value)
+        for alg in sorted(_ALGORITHMS):
             cell = [r for r in records if r.axis_value == value and r.algorithm == alg]
             ok = [r for r in cell if r.feasible]
-            if ok:
-                costs = np.array([r.cost_per_server for r in ok])
-                states = np.array([r.states for r in ok], dtype=np.float64)
-                iters = np.array([r.iterations for r in ok], dtype=np.float64)
-                stats = (
-                    float(costs.mean()),
-                    float(costs.std()),
-                    float(states.mean()),
-                    float(states.std()),
-                    float(iters.mean()),
-                    float(iters.std()),
-                )
-            else:
-                stats = (math.nan,) * 6
+            stats = {}
+            for name in ("cost_per_server", "states", "iterations"):
+                column = np.array([getattr(r, name) for r in ok], dtype=np.float64)
+                stats[f"mean_{name}"] = float(column.mean()) if ok else math.nan
+                stats[f"sd_{name}"] = float(column.std()) if ok else math.nan
             rows.append(
                 MetricsRow(
                     axis=cfg.axis,
@@ -315,15 +294,10 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentData:
                     components_lo=cfg.components_range[0],
                     components_hi=cfg.components_range[1],
                     algorithm=alg,
-                    mean_cost_per_server=stats[0],
-                    sd_cost_per_server=stats[1],
-                    mean_states=stats[2],
-                    sd_states=stats[3],
-                    mean_iterations=stats[4],
-                    sd_iterations=stats[5],
                     replications=len(cell),
                     infeasible_count=len(cell) - len(ok),
                     seed=cfg.master_seed,
+                    **stats,
                 )
             )
 
@@ -337,10 +311,6 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentData:
     return ExperimentData(
         rows=tuple(rows), convergence=tuple(convergence), records=tuple(records)
     )
-
-
-def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
-    return list(run_experiment_full(cfg).rows)
 
 
 def _fmt(value: float) -> str:
@@ -360,26 +330,7 @@ def write_outputs(rows, convergence_logs, out_dir) -> tuple[Path, Path]:
             writer = csv.writer(fh)
             writer.writerow(SWEEP_COLUMNS)
             for row in rows:
-                writer.writerow(
-                    [
-                        row.axis,
-                        row.axis_value,
-                        row.servers,
-                        row.devices,
-                        row.components_lo,
-                        row.components_hi,
-                        row.algorithm,
-                        _fmt(row.mean_cost_per_server),
-                        _fmt(row.sd_cost_per_server),
-                        _fmt(row.mean_states),
-                        _fmt(row.sd_states),
-                        _fmt(row.mean_iterations),
-                        _fmt(row.sd_iterations),
-                        row.replications,
-                        row.infeasible_count,
-                        row.seed,
-                    ]
-                )
+                writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(row))
         with open(conv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run_id", "t", "rho_t"])

@@ -21,16 +21,16 @@ from .seeding import stream
 
 @dataclass(frozen=True)
 class SaaParams:
-    """Risk factors and sample count.
+    """Risk factors and sample count; the defaults are the reference setup.
 
     alpha: acceptable overload probability of the original problem.
     epsilon: stricter empirical budget applied to the sampled problem.
     theta: number of Monte Carlo scenarios.
     """
 
-    alpha: float
-    epsilon: float
-    theta: int
+    alpha: float = 0.01
+    epsilon: float = 0.005
+    theta: int = 1850
 
     def __post_init__(self):
         if not 0 < self.epsilon <= self.alpha < 1:
@@ -56,9 +56,6 @@ class SampleSet:
     @property
     def theta(self) -> int:
         return self.cycles.shape[1]
-
-    def for_component(self, inst: Instance, d: int, c: int) -> np.ndarray:
-        return self.cycles[inst.flat_index(d, c)]
 
 
 def allowed_overloads(params: SaaParams) -> int:
@@ -111,20 +108,6 @@ def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> n
         if members.any():
             load[s] = inst.cost_rates[s] * samples.cycles[members].sum(axis=0)
     return load
-
-
-def server_load(inst: Instance, samples: SampleSet, pl: Placement, s: int, theta: int) -> float:
-    """Computation cost of server s in scenario theta under placement pl."""
-    a = pl.array()
-    members = a == s
-    if not members.any():
-        return 0.0
-    return float(inst.cost_rates[s] * samples.cycles[members, theta].sum())
-
-
-def overload_excess(inst: Instance, samples: SampleSet, pl: Placement, s: int, theta: int) -> float:
-    """Signed load minus capacity; positive means an overload in this scenario."""
-    return server_load(inst, samples, pl, s, theta) - float(inst.capacities[s])
 
 
 def overload_profile(

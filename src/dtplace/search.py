@@ -10,9 +10,8 @@ function of its inputs.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -42,16 +41,25 @@ class Trajectory:
 
     points: tuple[FeatureVector, ...]
     endpoint_value: float
-    length: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "length", len(self.points))
 
 
 @dataclass(frozen=True)
 class SearchStats:
     states_visited: int
     neighbors_evaluated: int
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """What every placement algorithm reports: its best state and the search
+    effort behind it."""
+
+    best_state: SearchState
+    states_visited: int
+    iterations: int
+    converged: bool = False
+    per_iteration_optima: tuple[float, ...] = ()
+    result: object = None  # the algorithm's own fuller result, e.g. a StageResult
 
 
 class CostObjective:
@@ -199,54 +207,6 @@ class _Workspace:
         return _MoveTables(off_new, com_new, f1_new, f2_new, counts_new, feasible)
 
 
-def neighbors(
-    inst: Instance, samples: SampleSet, params: SaaParams, state: SearchState
-) -> Iterator[SearchState]:
-    """Feasible one-move neighbor states in (device, component, server) order.
-
-    Costs, features, and profiles of yielded states are produced by delta
-    evaluation: only the moved component's offload term, its sibling exchange
-    terms, and the two touched server rows are recomputed.
-    """
-    ws = _Workspace(inst, samples, params, state.placement.array())
-    tables = ws.move_tables()
-    m = inst.cost_rates
-    cap = inst.capacities
-    for k in range(inst.total_components):
-        a = int(ws.assignment[k])
-        removed = ws.load[a] - m[a] * samples.cycles[k]
-        count_a = int((removed > cap[a]).sum())
-        worst_a = float((removed - cap[a]).max())
-        for s in range(inst.num_servers):
-            if not tables.feasible[k, s]:
-                continue
-            servers = list(state.placement.servers)
-            servers[k] = s
-            counts = ws.counts.copy()
-            counts[a] = count_a
-            counts[s] = tables.counts[k, s]
-            worst = ws.load.max(axis=1) - cap
-            worst[a] = worst_a
-            worst[s] = float((ws.load[s] + m[s] * samples.cycles[k] - cap[s]).max())
-            yield SearchState(
-                placement=Placement(tuple(servers)),
-                eval=CostBreakdown(
-                    offload=float(tables.offload[k, s]),
-                    communication=float(tables.communication[k, s]),
-                ),
-                features=FeatureVector(
-                    dist_off=float(tables.dist_off[k, s]),
-                    dist_com=float(tables.dist_com[k, s]),
-                ),
-                profile=OverloadProfile(
-                    overload_count=counts,
-                    proportion=counts / samples.theta,
-                    worst_excess=worst,
-                    theta=samples.theta,
-                ),
-            )
-
-
 def hill_climb(
     inst: Instance,
     samples: SampleSet,
@@ -324,9 +284,9 @@ def random_feasible_state(
 
     Draws components-to-servers uniformly and keeps the first draw whose
     overload counts all stay within budget. After ``max_tries`` rejections,
-    assigns components in random order to the feasible server with the
-    smallest current worst excess; raises :class:`NoFeasibleState` when that
-    also fails.
+    runs the shared first-fit greedy (:func:`_greedy_fill`) with components
+    in random order and servers ranked by their current worst excess;
+    raises :class:`NoFeasibleState` when that also fails.
     """
     rng = stream(seed, "search")
     K, S = inst.total_components, inst.num_servers
@@ -338,37 +298,45 @@ def random_feasible_state(
         counts = (load > cap[:, None]).sum(axis=1)
         if (counts <= budget).all():
             return make_state(inst, samples, params, Placement(tuple(int(s) for s in assignment)))
+    return _greedy_fill(
+        inst, samples, params, rng.permutation(K), lambda k, load: (load - cap[:, None]).max(axis=1)
+    )
 
-    order = rng.permutation(K)
-    assignment = np.full(K, -1, dtype=np.int64)
-    load = np.zeros((S, samples.theta))
+
+def _greedy_fill(
+    inst: Instance,
+    samples: SampleSet,
+    params: SaaParams,
+    order,
+    rank: Callable[[int, np.ndarray], np.ndarray],
+) -> SearchState:
+    """First-fit greedy placement.
+
+    Places the components in ``order``, each on the first server, in
+    ascending ``rank(k, load)`` with ties by server index, that keeps its
+    overload count within budget; ``load`` is the (S, theta) load of the
+    components placed so far. Raises :class:`NoFeasibleState` when some
+    component fits nowhere.
+    """
+    budget = allowed_overloads(params)
+    cap = inst.capacities
+    assignment = np.full(inst.total_components, -1, dtype=np.int64)
+    load = np.zeros((inst.num_servers, samples.theta))
     for k in order:
-        worst = (load - cap[:, None]).max(axis=1)
-        placed = False
-        for s in np.argsort(worst, kind="stable"):
+        for s in np.argsort(rank(k, load), kind="stable"):
             cand = load[s] + inst.cost_rates[s] * samples.cycles[k]
             if (cand > cap[s]).sum() <= budget:
                 assignment[k] = s
                 load[s] = cand
-                placed = True
                 break
-        if not placed:
+        else:
             raise NoFeasibleState(
                 f"no server can host component {int(k)} within the overload budget "
                 f"({budget} of {samples.theta} scenarios)"
             )
     state = make_state(inst, samples, params, Placement(tuple(int(s) for s in assignment)))
+    # make_state sums each server's loads in ascending k, which can round
+    # differently from the greedy's running sums.
     if not (state.profile.overload_count <= budget).all():
-        raise NoFeasibleState("greedy fallback produced an over-budget placement")
+        raise NoFeasibleState("greedy placement exceeds the overload budget")
     return state
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Debug export: one row per visited state."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "dist_off", "dist_com", "rho_endpoint"])
-        for q, point in enumerate(traj.points, start=1):
-            writer.writerow(
-                [q, f"{point.dist_off:.6f}", f"{point.dist_com:.6f}", f"{traj.endpoint_value:.6f}"]
-            )

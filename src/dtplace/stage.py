@@ -52,27 +52,6 @@ class QuadraticModel:
         b = self.coefficients
         return b[0] + b[1] * u + b[2] * v + b[3] * u * u + b[4] * v * v + b[5] * u * v
 
-    def raw_coefficients(self) -> np.ndarray:
-        """Equivalent coefficients on unstandardized features, same term order."""
-        b = self.coefficients
-        m1, m2 = self.feature_mean
-        s1, s2 = self.feature_sd
-        return np.array(
-            [
-                b[0]
-                - b[1] * m1 / s1
-                - b[2] * m2 / s2
-                + b[3] * m1 * m1 / (s1 * s1)
-                + b[4] * m2 * m2 / (s2 * s2)
-                + b[5] * m1 * m2 / (s1 * s2),
-                b[1] / s1 - 2.0 * b[3] * m1 / (s1 * s1) - b[5] * m2 / (s1 * s2),
-                b[2] / s2 - 2.0 * b[4] * m2 / (s2 * s2) - b[5] * m1 / (s1 * s2),
-                b[3] / (s1 * s1),
-                b[4] / (s2 * s2),
-                b[5] / (s1 * s2),
-            ]
-        )
-
 
 def predict(model: QuadraticModel, f: FeatureVector) -> float:
     return float(model.predict_pair(f.dist_off, f.dist_com))

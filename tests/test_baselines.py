@@ -80,7 +80,7 @@ def test_restart_hillclimb_state_accounting():
     for i in range(trials):
         start = random_feasible_state(inst, samples, params, _trial_seed(11, i))
         _, traj, _ = hill_climb(inst, samples, params, start)
-        lengths.append(traj.length)
+        lengths.append(len(traj.points))
     assert result.states_visited == sum(lengths)
 
 

@@ -361,3 +361,62 @@ def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, caps
     err = capsys.readouterr().err
     assert "malformed placement" in err
     assert str(path) in err
+
+
+MINIMAL_EXPERIMENT = {
+    "axis": "devices",
+    "axis_values": [2],
+    "num_servers": 2,
+    "components_range": [1, 1],
+    "replications": 1,
+    "master_seed": 1,
+    "theta": 30,
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"axis_values": ["x"]},
+        {"axis_values": 5},
+        {"components_range": ["a", "b"]},
+        {"components_range": [1]},
+        {"theta": "abc"},
+        None,
+    ],
+    ids=["axis-values-not-int", "axis-values-not-list", "range-not-int", "range-one-entry",
+         "theta-not-number", "top-level-list"],
+)
+def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
+    config = [MINIMAL_EXPERIMENT] if change is None else {**MINIMAL_EXPERIMENT, **change}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem", ["missing", "bad-json", "not-text"])
+@pytest.mark.parametrize("role", ["instance", "samples", "placement", "experiment"])
+def test_unreadable_input_file_exits_2(tmp_path, instance_file, role, problem, capsys):
+    bad = tmp_path / f"bad-{role}.json"
+    if problem == "bad-json":
+        bad.write_text("{not json")
+    elif problem == "not-text":
+        bad.write_bytes(b"\xff\xfe\x00{")
+    solve_out = tmp_path / "solve.json"
+    assert main(["solve", *common_flags(instance_file), "--out", str(solve_out)]) == 0
+    argv = {
+        "instance": ["solve", *common_flags(bad)],
+        "samples": ["solve", *common_flags(instance_file), "--samples", str(bad)],
+        "placement": ["validate", "--instance", str(instance_file), "--placement", str(bad),
+                      "--seed", "1"],
+        "experiment": ["experiment", str(bad), "--out", str(tmp_path / "out")],
+    }[role]
+    capsys.readouterr()
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert str(bad) in err

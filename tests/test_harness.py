@@ -13,7 +13,6 @@ from dtplace import (
     Placement,
     SaaParams,
     StageConfig,
-    run_experiment,
     run_experiment_full,
     validate_p1_feasibility,
     write_outputs,
@@ -48,12 +47,6 @@ def test_row_and_record_counts():
     for row in data.rows:
         assert row.replications == 2
         assert row.seed == 606
-
-
-def test_run_experiment_matches_full():
-    cfg = tiny_config()
-    rows = run_experiment(cfg)
-    assert rows == list(run_experiment_full(cfg).rows)
 
 
 def test_all_algorithms_share_instance_and_samples():
@@ -214,3 +207,36 @@ def test_duplicate_axis_values_rejected():
         cfg.validate()
     with pytest.raises(ConfigurationError):
         run_experiment_full(cfg)
+
+
+def test_from_dict_defaults_and_conversions():
+    required = {"axis": "devices", "axis_values": [2, 3], "replications": 2, "master_seed": 606}
+    cfg = ExperimentConfig.from_dict(required)
+    assert cfg == ExperimentConfig(
+        axis="devices",
+        axis_values=(2, 3),
+        replications=2,
+        master_seed=606,
+        num_servers=6,
+        num_devices=5,
+        components_range=(1, 3),
+        saa=SaaParams(alpha=0.01, epsilon=0.005, theta=1850),
+        stage=StageConfig(delta=0.015, max_iterations=10, phase2_step_cap=500),
+        baseline_trials=10,
+    )
+    full = {
+        **required,
+        "num_servers": "3",
+        "num_devices": 2,
+        "components_range": ["1", 2],
+        "alpha": "0.05",
+        "epsilon": 0.025,
+        "theta": 40.0,
+        "max_iterations": 4,
+        "baseline_trials": 3,
+    }
+    assert ExperimentConfig.from_dict(full) == tiny_config()
+    with pytest.raises(ConfigurationError, match="missing key 'master_seed'"):
+        ExperimentConfig.from_dict({k: v for k, v in required.items() if k != "master_seed"})
+    with pytest.raises(ConfigurationError, match="distinct"):
+        ExperimentConfig.from_dict({**required, "axis_values": [3, 3]})

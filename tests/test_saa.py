@@ -16,10 +16,9 @@ from dtplace import (
     draw_samples,
     generate_instance,
     is_feasible,
-    overload_excess,
     overload_profile,
-    server_load,
 )
+from dtplace.saa import load_matrix
 
 from conftest import build_instance, constant_samples
 
@@ -65,9 +64,10 @@ def test_server_load_examples():
         unit_cost=0.5,
     )
     samples = constant_samples(inst, [5e6], theta=4)
-    on_zero = Placement(servers=(0,))
-    assert server_load(inst, samples, on_zero, 0, 0) == pytest.approx(1e7)
-    assert server_load(inst, samples, on_zero, 1, 0) == 0.0
+    load = load_matrix(inst, samples, Placement(servers=(0,)).array())
+    assert load.shape == (2, 4)
+    assert load[0] == pytest.approx([1e7] * 4)
+    assert (load[1] == 0.0).all()
 
 
 def test_server_load_matches_loop_oracle():
@@ -77,13 +77,14 @@ def test_server_load_matches_loop_oracle():
     samples = draw_samples(inst, params, 9)
     rng = np.random.default_rng(0)
     pl = Placement(servers=tuple(int(s) for s in rng.integers(0, 2, inst.total_components)))
+    load = load_matrix(inst, samples, pl.array())
     for s in range(2):
-        for theta in range(0, 20, 7):
+        for theta in range(20):
             expected = 0.0
             for k in range(inst.total_components):
                 if pl.servers[k] == s:
                     expected += inst.cost_rates[s] * samples.cycles[k, theta]
-            assert server_load(inst, samples, pl, s, theta) == pytest.approx(expected, rel=1e-12)
+            assert load[s, theta] == pytest.approx(expected, rel=1e-12)
 
 
 def test_overload_excess_boundary():
@@ -97,13 +98,13 @@ def test_overload_excess_boundary():
     samples.cycles[0] = [5.0, 8.0, 12.0]
     samples.cycles.setflags(write=False)
     pl = Placement(servers=(0,))
-    assert overload_excess(inst, samples, pl, 0, 0) == -3.0
-    assert overload_excess(inst, samples, pl, 0, 1) == 0.0
-    assert overload_excess(inst, samples, pl, 0, 2) == 4.0
+    excess = load_matrix(inst, samples, pl.array())[0] - inst.capacities[0]
+    assert excess.tolist() == [-3.0, 0.0, 4.0]
     params = SaaParams(alpha=0.9, epsilon=0.9, theta=3)
     profile = overload_profile(inst, samples, pl, params)
     # exact-capacity scenario is not an overload
     assert profile.overload_count[0] == 1
+    assert profile.worst_excess[0] == 4.0
 
 
 def test_overload_profile_counting():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dtplace import (
     GenConfig,
@@ -18,13 +18,12 @@ from dtplace import (
     generate_instance,
     hill_climb,
     make_state,
-    neighbors,
     overload_profile,
     random_feasible_state,
 )
 from dtplace import search
 from dtplace.saa import load_matrix
-from dtplace.search import _Workspace, write_trajectory_csv
+from dtplace.search import _Workspace
 
 from conftest import build_instance, constant_samples
 
@@ -37,25 +36,40 @@ def seeded_setup(seed, servers=3, devices=2, comp=(1, 2), theta=60):
     return inst, params, samples
 
 
+def scratch_moves(inst, samples, params, placement):
+    """Every one-component move (k, s != a[k]) in (k, s) order, built from
+    scratch: yields (k, s, state, feasible)."""
+    budget = allowed_overloads(params)
+    for k in range(inst.total_components):
+        for s in range(inst.num_servers):
+            if s == placement.servers[k]:
+                continue
+            servers = list(placement.servers)
+            servers[k] = s
+            pl = Placement(tuple(servers))
+            feasible = bool((overload_profile(inst, samples, pl, params).overload_count <= budget).all())
+            yield k, s, make_state(inst, samples, params, pl), feasible
+
+
 def reference_climb(inst, samples, params, start):
-    """Independent steepest-descent oracle built on the public neighbor stream."""
+    """Independent steepest-descent oracle: each step takes the first
+    strictly-best feasible move in (k, s) order, scored from scratch."""
     states = [start]
     current = start
     while True:
         best = None
-        for cand in neighbors(inst, samples, params, current):
-            if best is None or cand.eval.total < best.eval.total:
+        for _, _, cand, feasible in scratch_moves(inst, samples, params, current.placement):
+            if feasible and (best is None or cand.eval.total < best.eval.total):
                 best = cand
         if best is None or not best.eval.total < current.eval.total:
             return states
-        fresh = make_state(inst, samples, params, best.placement)
-        if not fresh.eval.total < current.eval.total:
-            return states
-        current = fresh
+        current = best
         states.append(current)
 
 
 def test_neighbors_counts():
+    # One move on two servers, none on one server: the workspace's feasible
+    # moves are exactly the from-scratch ones.
     inst = build_instance(
         servers=[(0, 0, 1.0, 1e9), (10, 0, 1.0, 1e9)],
         devices=[(5, 0, [(5e6, 200.0, (0.0,))])],
@@ -63,48 +77,72 @@ def test_neighbors_counts():
     )
     params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
     samples = constant_samples(inst, [5e6], theta=10)
-    state = make_state(inst, samples, params, Placement(servers=(0,)))
-    moves = list(neighbors(inst, samples, params, state))
-    assert len(moves) == 1
-    assert moves[0].placement.servers == (1,)
+    moves = list(scratch_moves(inst, samples, params, Placement(servers=(0,))))
+    assert [(k, s, feasible) for k, s, _, feasible in moves] == [(0, 1, True)]
+    assert np.argwhere(_Workspace(inst, samples, params, [0]).move_tables().feasible).tolist() == [[0, 1]]
 
     single = build_instance(
         servers=[(0, 0, 1.0, 1e9)],
         devices=[(5, 0, [(5e6, 200.0, (0.0,))])],
         unit_cost=0.5,
     )
-    s_state = make_state(single, constant_samples(single, [5e6], 10), params, Placement(servers=(0,)))
-    assert list(neighbors(single, constant_samples(single, [5e6], 10), params, s_state)) == []
+    single_samples = constant_samples(single, [5e6], 10)
+    assert list(scratch_moves(single, single_samples, params, Placement(servers=(0,)))) == []
+    assert not _Workspace(single, single_samples, params, [0]).move_tables().feasible.any()
+    state = make_state(single, single_samples, params, Placement(servers=(0,)))
+    _, traj, stats = hill_climb(single, single_samples, params, state)
+    assert len(traj.points) == stats.states_visited == 1
 
 
 def test_neighbors_are_in_lexicographic_order_and_feasible():
+    # The move tables mark feasible exactly the moves the scratch scan keeps.
     inst, params, samples = seeded_setup(3)
     state = random_feasible_state(inst, samples, params, 1)
-    budget_order = []
-    for cand in neighbors(inst, samples, params, state):
-        diff = [k for k in range(inst.total_components) if cand.placement.servers[k] != state.placement.servers[k]]
-        assert len(diff) == 1
-        k = diff[0]
-        budget_order.append((k, cand.placement.servers[k]))
-        profile = overload_profile(inst, samples, cand.placement, params)
-        assert (profile.overload_count == cand.profile.overload_count).all()
-    assert budget_order == sorted(budget_order)
+    feasible = _Workspace(inst, samples, params, state.placement.array()).move_tables().feasible
+    scratch = [(k, s) for k, s, _, ok in scratch_moves(inst, samples, params, state.placement) if ok]
+    assert np.argwhere(feasible).tolist() == [list(move) for move in scratch]
+
+    # Ties go to the first move in (k, s) order. Two identical devices start
+    # on server 0; servers 1 and 2 are equally close to them, so all four
+    # moves tie. The climb moves component 0 to server 1 first.
+    tied = build_instance(
+        servers=[(0, 0, 1.0, 1e9), (20, 5, 1.0, 1e9), (20, -5, 1.0, 1e9)],
+        devices=[(20, 0, [(5e6, 200.0, (0.0,))]), (20, 0, [(5e6, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    tied_samples = constant_samples(tied, [5e6, 5e6], theta=10)
+    tied_params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    start = make_state(tied, tied_samples, tied_params, Placement(servers=(0, 0)))
+    visited = []
+    hill_climb(tied, tied_samples, tied_params, start, on_visit=visited.append)
+    expected = [s.placement.servers for s in reference_climb(tied, tied_samples, tied_params, start)]
+    assert [s.placement.servers for s in visited] == expected == [(0, 0), (1, 0), (1, 1)]
 
 
 def test_neighbor_delta_caches_match_scratch_recompute():
+    # Screened move values and the snapshot after an applied move agree with
+    # the from-scratch state of every move.
     for seed in (5, 6, 7):
         inst, params, samples = seeded_setup(seed)
         state = random_feasible_state(inst, samples, params, seed)
-        for cand in neighbors(inst, samples, params, state):
-            scratch_cost = evaluate(inst, cand.placement)
-            scratch_feat = features(inst, cand.placement)
-            assert cand.eval.total == pytest.approx(scratch_cost.total, rel=1e-9)
-            assert cand.eval.offload == pytest.approx(scratch_cost.offload, rel=1e-9)
-            assert cand.features.dist_off == pytest.approx(scratch_feat.dist_off, rel=1e-9)
-            assert cand.features.dist_com == pytest.approx(scratch_feat.dist_com, rel=1e-9, abs=1e-9)
-            scratch_profile = overload_profile(inst, samples, cand.placement, params)
-            assert (cand.profile.overload_count == scratch_profile.overload_count).all()
-            assert cand.profile.worst_excess == pytest.approx(scratch_profile.worst_excess, rel=1e-9)
+        ws = _Workspace(inst, samples, params, state.placement.array())
+        tables = ws.move_tables()
+        for k, s, cand, feasible in scratch_moves(inst, samples, params, state.placement):
+            assert tables.feasible[k, s] == feasible
+            assert tables.counts[k, s] == cand.profile.overload_count[s]
+            assert tables.offload[k, s] == pytest.approx(cand.eval.offload, rel=1e-9)
+            assert tables.communication[k, s] == pytest.approx(cand.eval.communication, rel=1e-9, abs=1e-9)
+            assert tables.dist_off[k, s] == pytest.approx(cand.features.dist_off, rel=1e-9)
+            assert tables.dist_com[k, s] == pytest.approx(cand.features.dist_com, rel=1e-9, abs=1e-9)
+            source = int(ws.assignment[k])
+            ws.apply(k, s)
+            snap = ws.snapshot()
+            ws.apply(k, source)
+            assert snap.placement == cand.placement
+            assert snap.eval.total == pytest.approx(cand.eval.total, rel=1e-9)
+            assert snap.features == cand.features
+            assert (snap.profile.overload_count == cand.profile.overload_count).all()
+            assert snap.profile.worst_excess == pytest.approx(cand.profile.worst_excess, rel=1e-9)
 
 
 def test_hill_climb_matches_reference_scan():
@@ -114,7 +152,7 @@ def test_hill_climb_matches_reference_scan():
         endpoint, traj, stats = hill_climb(inst, samples, params, start)
         ref_states = reference_climb(inst, samples, params, start)
         assert endpoint.placement.servers == ref_states[-1].placement.servers
-        assert traj.length == len(ref_states)
+        assert len(traj.points) == len(ref_states)
         assert [p for p in traj.points] == [s.features for s in ref_states]
         assert traj.endpoint_value == endpoint.eval.total
 
@@ -126,7 +164,7 @@ def test_hill_climb_descends_strictly_and_terminates():
     endpoint, traj, stats = hill_climb(inst, samples, params, start, on_visit=visited.append)
     values = [s.eval.total for s in visited]
     assert all(b < a for a, b in zip(values, values[1:]))
-    assert stats.states_visited == len(visited) == traj.length
+    assert stats.states_visited == len(visited) == len(traj.points)
     assert stats.states_visited <= stats.neighbors_evaluated + 1
     again, _, _ = hill_climb(inst, samples, params, endpoint)
     assert again.placement.servers == endpoint.placement.servers
@@ -156,7 +194,7 @@ def test_hill_climb_respects_step_cap():
     inst, params, samples = seeded_setup(50, servers=4, devices=3, comp=(2, 3))
     start = random_feasible_state(inst, samples, params, 4)
     _, traj, _ = hill_climb(inst, samples, params, start, max_steps=1)
-    assert traj.length <= 2
+    assert len(traj.points) <= 2
 
 
 def test_hill_climb_never_beats_oracle_on_tiny_instances():
@@ -235,17 +273,6 @@ def test_every_visited_state_is_feasible():
     for state in visited:
         assert (state.profile.overload_count <= budget).all()
         assert is_feasible(state.profile, params)
-
-
-def test_trajectory_csv_export(tmp_path):
-    inst, params, samples = seeded_setup(80)
-    start = random_feasible_state(inst, samples, params, 6)
-    _, traj, _ = hill_climb(inst, samples, params, start)
-    out = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "q,dist_off,dist_com,rho_endpoint"
-    assert len(lines) == traj.length + 1
 
 
 def reference_tables(ws):
@@ -380,6 +407,35 @@ def workspace_cases(draw):
     params = SaaParams(alpha=0.9, epsilon=epsilon, theta=theta)
     assignment = rng.integers(0, num_servers, size=K)
     return inst, samples, params, assignment, moves
+
+
+@st.composite
+def climb_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_servers = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    theta = draw(st.integers(1, 30))
+    integral = draw(st.booleans())
+    epsilon = draw(st.sampled_from([0.05, 0.25, 0.5]))
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_servers, sizes, integral)
+    samples = random_samples(rng, inst, theta, integral)
+    return inst, samples, SaaParams(alpha=0.9, epsilon=epsilon, theta=theta), seed
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=climb_cases())
+def test_hill_climb_matches_reference_climb_step_for_step(case):
+    inst, samples, params, seed = case
+    try:
+        start = random_feasible_state(inst, samples, params, seed, max_tries=50)
+    except NoFeasibleState:
+        assume(False)
+    visited = []
+    hill_climb(inst, samples, params, start, on_visit=visited.append)
+    reference = reference_climb(inst, samples, params, start)
+    assert [s.placement.servers for s in visited] == [s.placement.servers for s in reference]
+    assert [s.features for s in visited] == [s.features for s in reference]
 
 
 @pytest.mark.parametrize("block_bytes", [search.COUNT_BLOCK_BYTES, 1, 1000], ids=["default", "row", "few-rows"])

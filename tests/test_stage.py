@@ -9,7 +9,6 @@ from dtplace import (
     FeatureVector,
     GenConfig,
     NoFeasibleState,
-    QuadraticModel,
     SaaParams,
     StageConfig,
     Trajectory,
@@ -27,6 +26,11 @@ from dtplace import (
 from dtplace.stage import write_iteration_log
 
 from conftest import build_instance, constant_samples
+
+
+# Prediction checkpoints spanning the sampled feature box [0, 10]^2; six
+# generic points already pin a quadratic in two variables.
+GRID = [(float(f1), float(f2)) for f1 in np.linspace(0, 10, 5) for f2 in np.linspace(0, 10, 5)]
 
 
 def make_trajectories(points_and_targets):
@@ -56,9 +60,9 @@ def test_fit_recovers_planted_quadratic():
         target = 2 + 3 * f1 - f2 + 0.5 * f1 * f1
         pts.append((((f1, f2),), target))
     model = fit_value_model(make_trajectories(pts), ridge=1e-8)
-    raw = model.raw_coefficients()
-    expected = np.array([2.0, 3.0, -1.0, 0.5, 0.0, 0.0])
-    assert np.allclose(raw, expected, atol=1e-6)
+    for f1, f2 in GRID:
+        expected = 2 + 3 * f1 - f2 + 0.5 * f1 * f1
+        assert predict(model, FeatureVector(f1, f2)) == pytest.approx(expected, abs=1e-6)
     assert predict(model, FeatureVector(1.0, 1.0)) == pytest.approx(4.5, abs=1e-5)
 
 
@@ -83,21 +87,22 @@ def test_fit_requires_data():
 def test_predict_is_invariant_under_consistent_rescaling():
     rng = np.random.default_rng(6)
     pts = []
+    scaled = []
     for _ in range(30):
         f1, f2 = rng.uniform(0, 50, 2)
-        pts.append((((f1, f2),), 1 + f1 + 2 * f2 + 0.1 * f1 * f2))
+        target = 1 + f1 + 2 * f2 + 0.1 * f1 * f2
+        pts.append((((f1, f2),), target))
+        scaled.append((((1000 * f1, f2 / 1000),), target))
     model = fit_value_model(make_trajectories(pts), ridge=1e-8)
-    # same polynomial expressed with an identity scaler
-    raw = model.raw_coefficients()
-    flat = QuadraticModel(
-        coefficients=raw,
-        feature_mean=np.zeros(2),
-        feature_sd=np.ones(2),
-        ridge=model.ridge,
-    )
-    for _ in range(10):
-        f = FeatureVector(float(rng.uniform(0, 50)), float(rng.uniform(0, 50)))
-        assert predict(model, f) == pytest.approx(predict(flat, f), rel=1e-9)
+    # the same data in other feature units fits the same surface
+    rescaled = fit_value_model(make_trajectories(scaled), ridge=1e-8)
+    for f1, f2 in GRID:
+        f1, f2 = 5 * f1, 5 * f2
+        expected = 1 + f1 + 2 * f2 + 0.1 * f1 * f2
+        assert predict(model, FeatureVector(f1, f2)) == pytest.approx(expected, rel=1e-9, abs=1e-6)
+        assert predict(rescaled, FeatureVector(1000 * f1, f2 / 1000)) == pytest.approx(
+            predict(model, FeatureVector(f1, f2)), rel=1e-9
+        )
 
 
 def test_stage_config_validation():
