@@ -101,19 +101,27 @@ def samples_from_dict(data: dict) -> SampleSet:
     return SampleSet(cycles=cycles)
 
 
-def _saa_from_args(args) -> SaaParams:
-    return SaaParams(alpha=args.alpha, epsilon=args.epsilon, theta=args.theta)
+def _load_problem(args) -> tuple[Instance, SaaParams, SampleSet]:
+    """The instance, risk parameters and scenarios a solving command runs on.
 
-
-def _get_samples(inst: Instance, args, params: SaaParams) -> SampleSet:
-    if getattr(args, "samples", None):
-        samples = samples_from_dict(_load_json(args.samples))
-        if samples.cycles.shape[0] != inst.total_components:
-            raise ConfigurationError(
-                "sample file was drawn for a different number of components"
-            )
-        return samples
-    return draw_samples(inst, params, args.seed)
+    Scenarios come from ``--samples`` when given, and then theta is the
+    file's: the overload budget floor(epsilon * theta) must count the
+    scenarios the placement is checked against. Otherwise ``--theta``
+    scenarios are drawn from ``--seed``.
+    """
+    inst = _load_instance(args.instance)
+    if not args.samples:
+        theta = SaaParams.theta if args.theta is None else args.theta
+        params = SaaParams(alpha=args.alpha, epsilon=args.epsilon, theta=theta)
+        return inst, params, draw_samples(inst, params, args.seed)
+    samples = samples_from_dict(_load_json(args.samples))
+    if samples.cycles.shape[0] != inst.total_components:
+        raise ConfigurationError("sample file was drawn for a different number of components")
+    if args.theta is not None and args.theta != samples.theta:
+        raise ConfigurationError(
+            f"--theta {args.theta} disagrees with the {samples.theta} scenarios in {args.samples}"
+        )
+    return inst, SaaParams(alpha=args.alpha, epsilon=args.epsilon, theta=samples.theta), samples
 
 
 def _result_record(algorithm: str, inst: Instance, run: RunSummary, seed: int) -> dict:
@@ -159,9 +167,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
-    params = _saa_from_args(args)
-    samples = _get_samples(inst, args, params)
+    inst, params, samples = _load_problem(args)
     if args.samples_out:
         _dump_json(samples_to_dict(samples, seed=args.seed), args.samples_out)
     cfg = StageConfig(
@@ -177,18 +183,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    inst = _load_instance(args.instance)
-    params = _saa_from_args(args)
-    samples = _get_samples(inst, args, params)
+    inst, params, samples = _load_problem(args)
     run = run_algorithm(args.which, inst, samples, params, args.seed, trials=args.trials)
     _dump_json(_result_record(args.which, inst, run, args.seed), args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    inst = _load_instance(args.instance)
-    params = _saa_from_args(args)
-    samples = _get_samples(inst, args, params)
+    inst, params, samples = _load_problem(args)
     result = exact_solve(inst, samples, params, size_cap=args.size_cap)
     if not result.feasible:
         print(f"infeasible (enumerated {result.states_enumerated} placements)")
@@ -243,7 +245,11 @@ def _cmd_validate(args) -> int:
 def _add_saa_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=SaaParams.alpha)
     p.add_argument("--epsilon", type=float, default=SaaParams.epsilon)
-    p.add_argument("--theta", type=int, default=SaaParams.theta)
+    p.add_argument(
+        "--theta",
+        type=int,
+        help=f"scenario count (default {SaaParams.theta}; with --samples, the file's)",
+    )
     p.add_argument("--samples", help="JSON sample-set file (drawn from --seed when omitted)")
 
 

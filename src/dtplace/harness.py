@@ -31,6 +31,27 @@ AXIS_SERVERS = "servers"
 AXIS_DEVICES = "devices"
 
 
+def _whole(value) -> int:
+    """``int(value)`` for a config value, refusing bools and fractions."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """``float(value)`` for a config value, refusing bools."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _whole_list(value) -> tuple[int, ...]:
+    """A config list of whole numbers; a string is not iterated digit by digit."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return tuple(_whole(v) for v in value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     axis: str  # "servers" or "devices"
@@ -52,9 +73,10 @@ class ExperimentConfig:
         required. The optional keys are the other fields plus the fields of
         :class:`SaaParams` and :class:`StageConfig`, flattened; an absent key
         keeps its dataclass default, which the CLI flags read as well. Every
-        value goes through ``int()`` or ``float()``; anything that does not
-        convert, a missing key and an invalid value raise
-        :class:`ConfigurationError`.
+        value goes through ``int()`` or ``float()``, but nothing is truncated:
+        a bool, a number with a fractional part for a whole-number field and
+        a string for a list are refused. Anything that does not convert, a
+        missing key and an invalid value raise :class:`ConfigurationError`.
         """
         if not isinstance(raw, dict):
             raise ConfigurationError(
@@ -65,16 +87,18 @@ class ExperimentConfig:
             return {key: conv(raw[key]) for key, conv in converters.items() if key in raw}
 
         try:
-            lo, hi = (int(v) for v in raw.get("components_range", cls.components_range))
+            lo, hi = _whole_list(raw.get("components_range", cls.components_range))
             cfg = cls(
                 axis=raw["axis"],
-                axis_values=tuple(int(v) for v in raw["axis_values"]),
-                replications=int(raw["replications"]),
-                master_seed=int(raw["master_seed"]),
+                axis_values=_whole_list(raw["axis_values"]),
+                replications=_whole(raw["replications"]),
+                master_seed=_whole(raw["master_seed"]),
                 components_range=(lo, hi),
-                saa=SaaParams(**present(alpha=float, epsilon=float, theta=int)),
-                stage=StageConfig(**present(delta=float, max_iterations=int, phase2_step_cap=int)),
-                **present(num_servers=int, num_devices=int, baseline_trials=int),
+                saa=SaaParams(**present(alpha=_real, epsilon=_real, theta=_whole)),
+                stage=StageConfig(
+                    **present(delta=_real, max_iterations=_whole, phase2_step_cap=_whole)
+                ),
+                **present(num_servers=_whole, num_devices=_whole, baseline_trials=_whole),
             )
         except ConfigurationError:
             raise

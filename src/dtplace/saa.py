@@ -88,16 +88,18 @@ def draw_samples(inst: Instance, params: SaaParams, seed: int) -> SampleSet:
 
 @dataclass(frozen=True, eq=False)
 class OverloadProfile:
-    """Per-server overload accounting over one sample set."""
+    """Per-server overload counts over one sample set of ``theta`` scenarios."""
 
-    overload_count: np.ndarray  # (S,) scenarios with positive excess
-    proportion: np.ndarray  # (S,) count / theta
-    worst_excess: np.ndarray  # (S,) max over scenarios of load - capacity
+    overload_count: np.ndarray  # (S,) scenarios whose load strictly exceeds capacity
     theta: int
 
     def __post_init__(self):
-        for arr in (self.overload_count, self.proportion, self.worst_excess):
-            arr.setflags(write=False)
+        self.overload_count.setflags(write=False)
+
+    @property
+    def proportion(self) -> np.ndarray:
+        """(S,) overload count / theta."""
+        return self.overload_count / self.theta
 
 
 def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> np.ndarray:
@@ -115,14 +117,7 @@ def overload_profile(
 ) -> OverloadProfile:
     """Count, per server, the scenarios whose load strictly exceeds capacity."""
     load = load_matrix(inst, samples, pl.array())
-    excess = load - inst.capacities[:, None]
-    counts = (excess > 0).sum(axis=1).astype(np.int64)
-    return OverloadProfile(
-        overload_count=counts,
-        proportion=counts / samples.theta,
-        worst_excess=excess.max(axis=1),
-        theta=samples.theta,
-    )
+    return OverloadProfile((load > inst.capacities[:, None]).sum(axis=1), samples.theta)
 
 
 def is_feasible(profile: OverloadProfile, params: SaaParams) -> bool:

@@ -1,6 +1,6 @@
 """Feasibility-preserving local search over single-component reassignments.
 
-A search state is a complete placement plus cached cost, features, and
+A search state is a complete placement plus its cost, features, and
 overload profile. The neighborhood of a state is every placement reachable
 by moving exactly one component to a different server, restricted to moves
 that keep every server inside its overload budget. Hillclimbing is steepest
@@ -11,15 +11,26 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .costs import CostBreakdown, FeatureVector, Placement, evaluate, features
 from .domain import Instance
 from .errors import NoFeasibleState
-from .saa import OverloadProfile, SaaParams, SampleSet, allowed_overloads, load_matrix, overload_profile
+from .saa import (
+    OverloadProfile,
+    SaaParams,
+    SampleSet,
+    allowed_overloads,
+    is_feasible,
+    load_matrix,
+    overload_profile,
+)
 from .seeding import stream
+
+if TYPE_CHECKING:
+    from .stage import QuadraticModel
 
 # Upper bound on the float temporary of one candidate-count block.
 COUNT_BLOCK_BYTES = 128 * 1024
@@ -62,16 +73,6 @@ class RunSummary:
     result: object = None  # the algorithm's own fuller result, e.g. a StageResult
 
 
-class CostObjective:
-    """Descend on the true placement cost."""
-
-    def values(self, total, dist_off, dist_com):
-        return total
-
-
-COST = CostObjective()
-
-
 def make_state(inst: Instance, samples: SampleSet, params: SaaParams, pl: Placement) -> SearchState:
     """Build a state with all caches computed from scratch."""
     return SearchState(
@@ -90,26 +91,25 @@ class _MoveTables:
     communication: np.ndarray  # (K, S) new communication cost
     dist_off: np.ndarray  # (K, S)
     dist_com: np.ndarray  # (K, S)
-    counts: np.ndarray  # (K, S) target server's overload count after the move
     feasible: np.ndarray  # (K, S) bool; False on the current server
 
 
 class _Workspace:
-    """Mutable support structure for one climb; states snapshot from scratch.
+    """Mutable support structure for one climb, holding its current state.
 
     ``cand_counts[k, s]`` caches the overload count server ``s`` would have if
     it also hosted component ``k``. A move changes the load of its source and
     target servers only, so :meth:`apply` recounts just those two columns.
     """
 
-    def __init__(self, inst: Instance, samples: SampleSet, params: SaaParams, assignment):
+    def __init__(self, inst: Instance, samples: SampleSet, params: SaaParams, start: SearchState):
         self.inst = inst
         self.samples = samples
-        self.params = params
-        self.assignment = np.array(assignment, dtype=np.int64)
+        self.state = start
+        self.assignment = start.placement.array()
         self.allowed = allowed_overloads(params)
         self.load = load_matrix(inst, samples, self.assignment)
-        self.counts = (self.load > inst.capacities[:, None]).sum(axis=1)
+        self.counts = start.profile.overload_count.copy()
         K, S = inst.total_components, inst.num_servers
         self.rows = np.arange(K)
         self.e_rows = inst.dist_server_device[:, inst.component_device].T
@@ -130,7 +130,6 @@ class _Workspace:
         self.cand_counts = np.empty((K, S), dtype=np.int64)
         for s in range(S):
             self._count_column(s)
-        self._refresh()
 
     def _count_column(self, s: int) -> None:
         """Recount ``cand_counts[:, s]`` from server s's load, by row blocks."""
@@ -142,35 +141,9 @@ class _Workspace:
             cand += self.load[s]
             self.cand_counts[lo : lo + len(cand), s] = np.count_nonzero(cand > cap, axis=1)
 
-    def _refresh(self) -> None:
-        pl = Placement(tuple(int(s) for s in self.assignment))
-        cost = evaluate(self.inst, pl)
-        feat = features(self.inst, pl)
-        self.offload = cost.offload
-        self.communication = cost.communication
-        self.dist_off = feat.dist_off
-        self.dist_com = feat.dist_com
-
-    def is_feasible(self) -> bool:
-        return bool((self.counts <= self.allowed).all())
-
-    def snapshot(self) -> SearchState:
-        inst = self.inst
-        excess = self.load - inst.capacities[:, None]
-        profile = OverloadProfile(
-            overload_count=self.counts.copy(),
-            proportion=self.counts / self.samples.theta,
-            worst_excess=excess.max(axis=1),
-            theta=self.samples.theta,
-        )
-        return SearchState(
-            placement=Placement(tuple(int(s) for s in self.assignment)),
-            eval=CostBreakdown(offload=self.offload, communication=self.communication),
-            features=FeatureVector(dist_off=self.dist_off, dist_com=self.dist_com),
-            profile=profile,
-        )
-
-    def apply(self, k: int, target: int) -> None:
+    def apply(self, k: int, target: int) -> SearchState:
+        """Move component k to ``target``; the new current state is evaluated
+        from scratch and returned."""
         inst = self.inst
         source = int(self.assignment[k])
         self.assignment[k] = target
@@ -182,29 +155,36 @@ class _Workspace:
                 self.load[s] = 0.0
             self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
             self._count_column(s)
-        self._refresh()
+        pl = Placement(tuple(int(s) for s in self.assignment))
+        self.state = SearchState(
+            placement=pl,
+            eval=evaluate(inst, pl),
+            features=features(inst, pl),
+            profile=OverloadProfile(self.counts.copy(), self.samples.theta),
+        )
+        return self.state
 
     def move_tables(self) -> _MoveTables:
         inst = self.inst
         r = inst.unit_transport_cost
         a = self.assignment
         rows = self.rows
+        cost, feat = self.state.eval, self.state.features
 
         shift = self.e_rows - self.e_rows[rows, a][:, None]
-        off_new = self.offload + (r * inst.component_offload_kb)[:, None] * shift
-        f1_new = self.dist_off + shift
+        off_new = cost.offload + (r * inst.component_offload_kb)[:, None] * shift
+        f1_new = feat.dist_off + shift
 
         # (K, W, S): distance from every server to each sibling's server.
         l_sib = inst.dist_server_server.T[a[self.sib_idx]]
         pair_cost = (l_sib * self.sib_g[:, :, None]).sum(axis=1)
         pair_dist = (l_sib * self.sib_on[:, :, None]).sum(axis=1)
-        com_new = self.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
-        f2_new = self.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
+        com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
+        f2_new = feat.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
 
-        counts_new = self.cand_counts.copy()
-        feasible = counts_new <= self.allowed
+        feasible = self.cand_counts <= self.allowed
         feasible[rows, a] = False
-        return _MoveTables(off_new, com_new, f1_new, f2_new, counts_new, feasible)
+        return _MoveTables(off_new, com_new, f1_new, f2_new, feasible)
 
 
 def hill_climb(
@@ -212,24 +192,31 @@ def hill_climb(
     samples: SampleSet,
     params: SaaParams,
     start: SearchState,
-    objective=COST,
+    objective: QuadraticModel | None = None,
     max_steps: int | None = None,
     on_visit: Callable[[SearchState], None] | None = None,
 ) -> tuple[SearchState, Trajectory, SearchStats]:
     """Steepest descent from a feasible start.
 
-    Each step moves to the feasible neighbor with the strictly smallest
-    objective value, first-in-scan-order on ties, and stops when no neighbor
-    strictly improves (or after ``max_steps`` accepted moves). The trajectory
+    Descends on the placement cost, or, when ``objective`` is a value model,
+    on its prediction ``objective.predict_pair(dist_off, dist_com)``. Each
+    step moves to the feasible neighbor with the strictly smallest value,
+    first-in-scan-order on ties, and stops when no neighbor strictly improves
+    (or after ``max_steps`` accepted moves). The start's caches are trusted
+    as given; every accepted state is evaluated from scratch. The trajectory
     records the features of every visited state; its endpoint value is the
     placement cost of the final state regardless of the objective used.
     """
-    K, S = inst.total_components, inst.num_servers
-    ws = _Workspace(inst, samples, params, start.placement.array())
-    if not ws.is_feasible():
+
+    def value(total, dist_off, dist_com):
+        return total if objective is None else objective.predict_pair(dist_off, dist_com)
+
+    if not is_feasible(start.profile, params):
         raise ValueError("hill_climb requires a feasible start state")
+    K, S = inst.total_components, inst.num_servers
+    ws = _Workspace(inst, samples, params, start)
     state = start
-    current = float(objective.values(state.eval.total, state.features.dist_off, state.features.dist_com))
+    current = float(value(state.eval.total, state.features.dist_off, state.features.dist_com))
     points = [state.features]
     if on_visit is not None:
         on_visit(state)
@@ -238,32 +225,21 @@ def hill_climb(
     while max_steps is None or steps < max_steps:
         tables = ws.move_tables()
         neighbors_evaluated += K * (S - 1)
-        cand = np.asarray(
-            objective.values(
-                tables.offload + tables.communication, tables.dist_off, tables.dist_com
-            ),
-            dtype=np.float64,
-        )
+        cand = value(tables.offload + tables.communication, tables.dist_off, tables.dist_com)
         cand = np.where(tables.feasible, cand, np.inf)
         flat = int(np.argmin(cand))
         if not cand.flat[flat] < current:
             break
-        k, target = divmod(flat, S)
-        source = int(ws.assignment[k])
-        ws.apply(k, target)
-        accepted = ws.snapshot()
-        value = float(
-            objective.values(
-                accepted.eval.total, accepted.features.dist_off, accepted.features.dist_com
-            )
+        accepted = ws.apply(*divmod(flat, S))
+        accepted_value = float(
+            value(accepted.eval.total, accepted.features.dist_off, accepted.features.dist_com)
         )
-        if not value < current:
+        if not accepted_value < current:
             # Screened delta said "improves" but the from-scratch value does
             # not; treat as a tie and stop rather than cycle.
-            ws.apply(k, source)
             break
         state = accepted
-        current = value
+        current = accepted_value
         points.append(state.features)
         if on_visit is not None:
             on_visit(state)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import FeatureVector
 from .domain import Instance
 from .errors import ConfigurationError
 from .saa import SaaParams, SampleSet
@@ -51,20 +50,6 @@ class QuadraticModel:
         v = (dist_com - self.feature_mean[1]) / self.feature_sd[1]
         b = self.coefficients
         return b[0] + b[1] * u + b[2] * v + b[3] * u * u + b[4] * v * v + b[5] * u * v
-
-
-def predict(model: QuadraticModel, f: FeatureVector) -> float:
-    return float(model.predict_pair(f.dist_off, f.dist_com))
-
-
-class ValuePredictionObjective:
-    """Descend on the model's predicted local-optimum cost."""
-
-    def __init__(self, model: QuadraticModel):
-        self.model = model
-
-    def values(self, total, dist_off, dist_com):
-        return self.model.predict_pair(dist_off, dist_com)
 
 
 @dataclass(frozen=True)
@@ -165,6 +150,13 @@ def stage_search(
         if best is None or state.eval.total < best.eval.total:
             best = state
 
+    def descend_on(model: QuadraticModel, state: SearchState) -> SearchState:
+        """Phase II: the prediction descent, capped at phase2_step_cap moves."""
+        cap = cfg.phase2_step_cap
+        return hill_climb(
+            inst, samples, params, state, objective=model, max_steps=cap, on_visit=visit
+        )[0]
+
     start = random_feasible_state(inst, samples, params, seed)
     trajectories: list[Trajectory] = []
     optima: list[float] = []
@@ -184,16 +176,7 @@ def stage_search(
         if t == cfg.max_iterations:
             break
         model = fit_value_model(trajectories, RIDGE_DEFAULT)
-        objective = ValuePredictionObjective(model)
-        predicted_start, _, _ = hill_climb(
-            inst,
-            samples,
-            params,
-            endpoint,
-            objective=objective,
-            max_steps=cfg.phase2_step_cap,
-            on_visit=visit,
-        )
+        predicted_start = descend_on(model, endpoint)
         exogenous_restart = False
         if predicted_start.placement.servers == endpoint.placement.servers:
             # The prediction descent stalled (e.g. a flat model such as the
@@ -202,15 +185,7 @@ def stage_search(
             probe = random_feasible_state(
                 inst, samples, params, child_seed(seed, f"stall-restart/{t}")
             )
-            predicted_start, _, _ = hill_climb(
-                inst,
-                samples,
-                params,
-                probe,
-                objective=objective,
-                max_steps=cfg.phase2_step_cap,
-                on_visit=visit,
-            )
+            predicted_start = descend_on(model, probe)
             exogenous_restart = (
                 predicted_start.placement.servers != endpoint.placement.servers
             )

@@ -16,7 +16,6 @@ import pytest
 
 from dtplace import (
     ExperimentConfig,
-    FeatureVector,
     GenConfig,
     Placement,
     SaaParams,
@@ -28,7 +27,6 @@ from dtplace import (
     generate_instance,
     hill_climb,
     overload_profile,
-    predict,
     random_feasible_state,
     run_experiment_full,
     stage_search,
@@ -270,7 +268,7 @@ def test_criterion_8_mechanical_invariants(tmp_path):
         pts.append((((f1, f2),), 2 + 3 * f1 - f2 + 0.5 * f1 * f1))
     model = fit_value_model(make_trajectories(pts), ridge=1e-8)
     recovered = all(
-        abs(predict(model, FeatureVector(f1, f2)) - (2 + 3 * f1 - f2 + 0.5 * f1 * f1)) <= 1e-6
+        abs(model.predict_pair(f1, f2) - (2 + 3 * f1 - f2 + 0.5 * f1 * f1)) <= 1e-6
         for f1, f2 in GRID
     )
     checks.append(("regression-recovery", recovered))

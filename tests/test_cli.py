@@ -235,6 +235,33 @@ def test_solve_side_outputs(tmp_path, instance_file):
     assert rc == 0
 
 
+def test_samples_replay_equals_original_run(tmp_path, capsys):
+    # Server 0 is closer but overloaded in about half of the scenarios: it
+    # fits the budget floor(0.025 * 1850) = 46 of the default theta, but not
+    # the 1 of the 50 scenarios the file holds. Placed on server 1 instead,
+    # 25 distance units away, the component costs 2500.
+    inst = build_instance(
+        servers=[(0.0, 0.0, 1.0, 5.0), (30.0, 0.0, 1.0, 1e9)],
+        devices=[(5.0, 0.0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({"instance": instance_to_dict(inst)}))
+    risk = ["--instance", str(path), "--seed", "3", "--alpha", "0.05", "--epsilon", "0.025"]
+    samples = tmp_path / "samples.json"
+    assert main(["solve", *risk, "--theta", "50", "--samples-out", str(samples)]) == 0
+    capsys.readouterr()
+    for command in (["solve"], ["baseline", "--which", "nearest"], ["oracle"]):
+        assert main([*command, *risk, "--theta", "50"]) == 0
+        drawn = capsys.readouterr().out
+        assert "2500.0" in drawn
+        for theta in ([], ["--theta", "50"]):
+            assert main([*command, *risk, *theta, "--samples", str(samples)]) == 0
+            assert capsys.readouterr().out == drawn, command
+        assert main([*command, *risk, "--theta", "60", "--samples", str(samples)]) == 2
+        assert "--theta 60 disagrees with the 50 scenarios" in capsys.readouterr().err
+
+
 def test_samples_file_roundtrip(tmp_path, instance_file):
     from dtplace import SaaParams, draw_samples, instance_from_dict
     from dtplace.cli import samples_from_dict, samples_to_dict
@@ -383,9 +410,16 @@ MINIMAL_EXPERIMENT = {
         {"components_range": [1]},
         {"theta": "abc"},
         None,
+        {"axis_values": "56"},
+        {"axis_values": [2.7]},
+        {"replications": 2.5},
+        {"replications": True},
+        {"delta": True},
+        {"components_range": "13"},
     ],
     ids=["axis-values-not-int", "axis-values-not-list", "range-not-int", "range-one-entry",
-         "theta-not-number", "top-level-list"],
+         "theta-not-number", "top-level-list", "axis-values-string", "axis-value-fraction",
+         "replications-fraction", "replications-bool", "delta-bool", "range-string"],
 )
 def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
     config = [MINIMAL_EXPERIMENT] if change is None else {**MINIMAL_EXPERIMENT, **change}

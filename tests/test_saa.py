@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -104,7 +102,6 @@ def test_overload_excess_boundary():
     profile = overload_profile(inst, samples, pl, params)
     # exact-capacity scenario is not an overload
     assert profile.overload_count[0] == 1
-    assert profile.worst_excess[0] == 4.0
 
 
 def test_overload_profile_counting():
@@ -121,7 +118,6 @@ def test_overload_profile_counting():
     profile = overload_profile(inst, samples, Placement(servers=(0,)), params)
     assert profile.overload_count.tolist() == [2, 0]
     assert profile.proportion.tolist() == [0.5, 0.0]
-    assert profile.worst_excess[0] == 5.0
 
 
 def test_overload_profile_matches_bruteforce_scan():
@@ -135,29 +131,19 @@ def test_overload_profile_matches_bruteforce_scan():
         profile = overload_profile(inst, samples, pl, params)
         for s in range(3):
             count = 0
-            worst = -math.inf
             for theta in range(100):
                 load = 0.0
                 for k in range(inst.total_components):
                     if pl.servers[k] == s:
                         load += inst.cost_rates[s] * samples.cycles[k, theta]
-                excess = load - inst.capacities[s]
-                worst = max(worst, excess)
-                if excess > 0:
+                if load > inst.capacities[s]:
                     count += 1
             assert profile.overload_count[s] == count
-            assert profile.worst_excess[s] == pytest.approx(worst, rel=1e-9)
             assert profile.proportion[s] == count / 100
 
 
 def _profile(counts, theta):
-    counts = np.asarray(counts, dtype=np.int64)
-    return OverloadProfile(
-        overload_count=counts,
-        proportion=counts / theta,
-        worst_excess=np.zeros(len(counts)),
-        theta=theta,
-    )
+    return OverloadProfile(np.asarray(counts, dtype=np.int64), theta)
 
 
 def test_feasibility_threshold_examples():

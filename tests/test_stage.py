@@ -19,7 +19,6 @@ from dtplace import (
     fit_value_model,
     generate_instance,
     hill_climb,
-    predict,
     random_feasible_state,
     stage_search,
 )
@@ -62,8 +61,8 @@ def test_fit_recovers_planted_quadratic():
     model = fit_value_model(make_trajectories(pts), ridge=1e-8)
     for f1, f2 in GRID:
         expected = 2 + 3 * f1 - f2 + 0.5 * f1 * f1
-        assert predict(model, FeatureVector(f1, f2)) == pytest.approx(expected, abs=1e-6)
-    assert predict(model, FeatureVector(1.0, 1.0)) == pytest.approx(4.5, abs=1e-5)
+        assert model.predict_pair(f1, f2) == pytest.approx(expected, abs=1e-6)
+    assert model.predict_pair(1.0, 1.0) == pytest.approx(4.5, abs=1e-5)
 
 
 def test_fit_constant_targets_yields_constant_model():
@@ -71,12 +70,12 @@ def test_fit_constant_targets_yields_constant_model():
     pts = [(((rng.uniform(0, 100), rng.uniform(0, 100)),), 37.5) for _ in range(10)]
     model = fit_value_model(make_trajectories(pts), ridge=1e-8)
     for f1, f2 in [(0, 0), (1e6, -5.0), (123.4, 567.8)]:
-        assert predict(model, FeatureVector(f1, f2)) == pytest.approx(37.5, abs=1e-9)
+        assert model.predict_pair(f1, f2) == pytest.approx(37.5, abs=1e-9)
 
 
 def test_fit_single_point_is_degenerate_constant():
     model = fit_value_model(make_trajectories([(((3.0, 4.0),), 12.0)]), ridge=1e-8)
-    assert predict(model, FeatureVector(100.0, -3.0)) == pytest.approx(12.0, abs=1e-9)
+    assert model.predict_pair(100.0, -3.0) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_fit_requires_data():
@@ -99,9 +98,9 @@ def test_predict_is_invariant_under_consistent_rescaling():
     for f1, f2 in GRID:
         f1, f2 = 5 * f1, 5 * f2
         expected = 1 + f1 + 2 * f2 + 0.1 * f1 * f2
-        assert predict(model, FeatureVector(f1, f2)) == pytest.approx(expected, rel=1e-9, abs=1e-6)
-        assert predict(rescaled, FeatureVector(1000 * f1, f2 / 1000)) == pytest.approx(
-            predict(model, FeatureVector(f1, f2)), rel=1e-9
+        assert model.predict_pair(f1, f2) == pytest.approx(expected, rel=1e-9, abs=1e-6)
+        assert rescaled.predict_pair(1000 * f1, f2 / 1000) == pytest.approx(
+            model.predict_pair(f1, f2), rel=1e-9
         )
 
 

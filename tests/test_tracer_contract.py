@@ -5,7 +5,9 @@ attributes, and its correctness gate matches each sweep record to an
 algorithm call made directly under ``run_cell_rep``. An algorithm table that
 holds function objects captured at import time would skip the wrappers, so
 this test runs one small cell under the tracer and applies the gate. The
-benchmark files are imported, never edited.
+tracer also splits ``hill_climb`` spans into cost and prediction descents on
+whether the ``objective`` keyword was passed, which the second test checks.
+The benchmark files are imported, never edited.
 """
 
 from __future__ import annotations
@@ -16,7 +18,16 @@ from pathlib import Path
 
 import pytest
 
-from dtplace import ExperimentConfig, SaaParams, StageConfig, harness
+from dtplace import (
+    ExperimentConfig,
+    GenConfig,
+    SaaParams,
+    StageConfig,
+    draw_samples,
+    generate_instance,
+    harness,
+    stage,
+)
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -61,3 +72,17 @@ def test_algorithm_spans_are_direct_children_of_run_cell_rep(bench):
     assert [r.algorithm for r in records] == ["stage", "random", "restart", "nearest"]
     assert all(r.feasible for r in records)
     assert workloads.gate(spans) == {}
+
+
+def test_stage_search_records_cost_and_prediction_climbs(bench):
+    tracer, _ = bench
+    inst = generate_instance(GenConfig(num_servers=3, num_devices=3, components_range=(1, 2)), 11)
+    params = SaaParams(alpha=0.05, epsilon=0.025, theta=40)
+    samples = draw_samples(inst, params, 12)
+    with tracer.Tracer() as t:
+        result = stage.stage_search(inst, samples, params, StageConfig(max_iterations=3), 13)
+    assert result.iterations >= 2  # so phase II ran at least once
+    spans = t.spans
+    (outer,) = [i for i, span in enumerate(spans) if span.name == "stage.stage_search"]
+    climbs = {span.name for span in spans if span.parent == outer and "hill_climb" in span.name}
+    assert climbs == {"search.hill_climb.cost", "search.hill_climb.predict"}
