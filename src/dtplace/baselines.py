@@ -25,7 +25,7 @@ def baseline_random_best(
         if best is None or state.eval.total < best.eval.total:
             best = state
     assert best is not None
-    return RunSummary(best_state=best, states_visited=trials, iterations=trials)
+    return RunSummary(best_state=best, total_states_visited=trials, iterations=trials)
 
 
 def baseline_restart_hillclimb(
@@ -47,7 +47,7 @@ def baseline_restart_hillclimb(
         if best is None or endpoint.eval.total < best.eval.total:
             best = endpoint
     assert best is not None
-    return RunSummary(best_state=best, states_visited=visited, iterations=trials)
+    return RunSummary(best_state=best, total_states_visited=visited, iterations=trials)
 
 
 def baseline_nearest(inst: Instance, samples: SampleSet, params: SaaParams) -> RunSummary:
@@ -65,4 +65,4 @@ def baseline_nearest(inst: Instance, samples: SampleSet, params: SaaParams) -> R
         range(inst.total_components),
         lambda k, load: inst.dist_server_device[:, inst.component_device[k]],
     )
-    return RunSummary(best_state=state, states_visited=1, iterations=1)
+    return RunSummary(best_state=state, total_states_visited=1, iterations=1)

@@ -133,7 +133,7 @@ def _result_record(algorithm: str, inst: Instance, run: RunSummary, seed: int) -
         "offload": state.eval.offload,
         "communication": state.eval.communication,
         "cost_per_server": state.eval.total / inst.num_servers,
-        "states_visited": run.states_visited,
+        "states_visited": run.total_states_visited,
         "iterations": run.iterations,
         "converged": run.converged,
         "per_iteration_rho": list(run.per_iteration_optima),
@@ -175,9 +175,9 @@ def _cmd_solve(args) -> int:
     )
     run = run_algorithm("stage", inst, samples, params, args.seed, stage=cfg)
     if args.iteration_log:
-        write_iteration_log(run.result, args.iteration_log)
+        write_iteration_log(run, args.iteration_log)
     record = _result_record("stage", inst, run, args.seed)
-    record["final_rho"] = run.result.final_state.eval.total
+    record["final_rho"] = run.final_state.eval.total
     _dump_json(record, args.out)
     return 0
 

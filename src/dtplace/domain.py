@@ -2,12 +2,13 @@
 
 An :class:`Instance` is an immutable snapshot of a wireless edge deployment:
 heterogeneous servers on a plane, devices whose digital twins are split into
-placeable components, a unit transport cost, and precomputed Manhattan
-distances. Generation is a pure function of (config, seed).
+placeable components, and a unit transport cost. Manhattan distances are
+derived from the positions. Generation is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,17 +68,16 @@ class PhysicalDevice:
 class Instance:
     """Immutable placement problem instance.
 
-    Distance matrices are precomputed at construction time and indexed by
-    0-based positions (``dist_server_device[s, d]``). Flat per-component
-    arrays (component order: devices in order, components in order) are
-    derived in ``__post_init__`` for fast evaluation and are read-only.
+    Derived in ``__post_init__`` and read-only: the Manhattan distance
+    matrices ``dist_server_device`` (S, D) and ``dist_server_server`` (S, S)
+    in meters, indexed by 0-based positions (``dist_server_device[s, d]``),
+    and flat per-component arrays (component order: devices in order,
+    components in order) for fast evaluation.
     """
 
     servers: tuple[EdgeServer, ...]
     devices: tuple[PhysicalDevice, ...]
     unit_transport_cost: float  # cost per (KB * meter)
-    dist_server_device: np.ndarray  # (S, D) meters
-    dist_server_server: np.ndarray  # (S, S) meters
 
     def __post_init__(self):
         counts = [len(dev.components) for dev in self.devices]
@@ -111,8 +111,19 @@ class Instance:
 
         cost_rates = np.array([s.cost_per_cycle for s in self.servers])
         capacities = np.array([s.capacity for s in self.servers])
+        S, D = len(self.servers), len(self.devices)
+        dist_sd = np.array(
+            [manhattan(s.position, dev.position) for s in self.servers for dev in self.devices],
+            dtype=np.float64,
+        ).reshape(S, D)
+        dist_ss = np.array(
+            [manhattan(a.position, b.position) for a in self.servers for b in self.servers],
+            dtype=np.float64,
+        ).reshape(S, S)
 
         for name, value in (
+            ("dist_server_device", dist_sd),
+            ("dist_server_server", dist_ss),
             ("component_offsets", offsets),
             ("component_device", comp_device),
             ("component_local_index", comp_local),
@@ -239,44 +250,36 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
         devices.append(PhysicalDevice(id=d + 1, position=pos, components=comps))
 
     unit_cost = float(rng.uniform(*cfg.unit_cost_range))
-
-    dist_sd = np.array(
-        [[manhattan(s.position, dev.position) for dev in devices] for s in servers]
-    )
-    dist_ss = np.array(
-        [[manhattan(a.position, b.position) for b in servers] for a in servers]
-    )
-    return Instance(
-        servers=tuple(servers),
-        devices=tuple(devices),
-        unit_transport_cost=unit_cost,
-        dist_server_device=dist_sd,
-        dist_server_server=dist_ss,
-    )
+    return Instance(servers=tuple(servers), devices=tuple(devices), unit_transport_cost=unit_cost)
 
 
 def validate_instance(inst: Instance) -> list[str]:
-    """Check every structural invariant; returns all violations found."""
+    """Check every structural invariant; returns all violations found.
+
+    Every number must be finite: a NaN or infinite entry would solve to a
+    NaN or infinite cost instead of failing.
+    """
     out: list[str] = []
-    S, D = inst.num_servers, inst.num_devices
-    if S < 1:
+    if not inst.servers:
         out.append("instance has no servers")
-    if D < 1:
+    if not inst.devices:
         out.append("instance has no devices")
+    if not 0 <= inst.unit_transport_cost < math.inf:
+        out.append("unit_transport_cost negative or not finite")
 
     for pos_owner, pos in [(f"server {s.id}", s.position) for s in inst.servers] + [
         (f"device {d.id}", d.position) for d in inst.devices
     ]:
-        if pos.x < 0 or pos.y < 0:
-            out.append(f"{pos_owner} has a negative coordinate")
+        if not (0 <= pos.x < math.inf and 0 <= pos.y < math.inf):
+            out.append(f"{pos_owner} has a negative or non-finite coordinate")
 
     for i, srv in enumerate(inst.servers):
         if srv.id != i + 1:
             out.append(f"server at position {i} has id {srv.id}, expected {i + 1}")
-        if not srv.cost_per_cycle > 0:
-            out.append(f"server {srv.id} cost_per_cycle not positive")
-        if not srv.capacity > 0:
-            out.append(f"server {srv.id} capacity not positive")
+        if not 0 < srv.cost_per_cycle < math.inf:
+            out.append(f"server {srv.id} cost_per_cycle not positive and finite")
+        if not 0 < srv.capacity < math.inf:
+            out.append(f"server {srv.id} capacity not positive and finite")
 
     for i, dev in enumerate(inst.devices):
         if dev.id != i + 1:
@@ -287,10 +290,13 @@ def validate_instance(inst: Instance) -> list[str]:
         for j, comp in enumerate(dev.components):
             if comp.id != j + 1:
                 out.append(f"device {dev.id} component at position {j} has id {comp.id}")
-            if not comp.mean_cycles > 0:
-                out.append(f"device {dev.id} component {comp.id} mean_cycles not positive")
-            if not comp.offload_kb > 0:
-                out.append(f"device {dev.id} component {comp.id} offload_kb not positive")
+            label = f"device {dev.id} component {comp.id}"
+            if not 0 < comp.mean_cycles < math.inf:
+                out.append(f"{label} mean_cycles not positive and finite")
+            if not 0 < comp.offload_kb < math.inf:
+                out.append(f"{label} offload_kb not positive and finite")
+            if not all(0 <= v < math.inf for v in comp.exchange_kb):
+                out.append(f"{label} exchange_kb negative or not finite")
         # Exchange rows have the device's length: the Instance constructor checks it.
         for c in range(n):
             row = dev.components[c].exchange_kb
@@ -302,29 +308,6 @@ def validate_instance(inst: Instance) -> list[str]:
                     out.append(
                         f"device {dev.id} exchange matrix asymmetric at ({c + 1}, {c2 + 1})"
                     )
-
-    sd = np.asarray(inst.dist_server_device)
-    ss = np.asarray(inst.dist_server_server)
-    if sd.shape != (S, D):
-        out.append(f"server-device distance matrix shape {sd.shape}, expected ({S}, {D})")
-    else:
-        for s in range(S):
-            for d in range(D):
-                expect = manhattan(inst.servers[s].position, inst.devices[d].position)
-                if sd[s, d] != expect:
-                    out.append(f"server-device distance matrix stale at ({s + 1}, {d + 1})")
-    if ss.shape != (S, S):
-        out.append(f"server-server distance matrix shape {ss.shape}, expected ({S}, {S})")
-    else:
-        for a in range(S):
-            if ss[a, a] != 0:
-                out.append(f"server-server distance matrix has nonzero diagonal at {a + 1}")
-            for b in range(S):
-                expect = manhattan(inst.servers[a].position, inst.servers[b].position)
-                if ss[a, b] != expect:
-                    out.append(f"server-server distance matrix stale at ({a + 1}, {b + 1})")
-                if ss[a, b] != ss[b, a]:
-                    out.append(f"server-server distance matrix asymmetric at ({a + 1}, {b + 1})")
     return out
 
 
@@ -359,12 +342,12 @@ def instance_to_dict(inst: Instance) -> dict:
             for d in inst.devices
         ],
         "unit_transport_cost": inst.unit_transport_cost,
-        "dist_server_device": np.asarray(inst.dist_server_device).tolist(),
-        "dist_server_server": np.asarray(inst.dist_server_server).tolist(),
     }
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """Inverse of :func:`instance_to_dict`. Other keys, such as the distance
+    matrices older files carry, are ignored: distances follow from positions."""
     servers = tuple(
         EdgeServer(
             id=int(s["id"]),
@@ -394,6 +377,4 @@ def instance_from_dict(data: dict) -> Instance:
         servers=servers,
         devices=devices,
         unit_transport_cost=float(data["unit_transport_cost"]),
-        dist_server_device=np.array(data["dist_server_device"], dtype=np.float64),
-        dist_server_server=np.array(data["dist_server_server"], dtype=np.float64),
     )

@@ -190,22 +190,12 @@ def _cell_seed(cfg: ExperimentConfig, value: int, rep: int, *labels: str) -> int
     return child_seed(cfg.master_seed, f"cell={cfg.axis}:{value}", f"rep={rep}", *labels)
 
 
-def _stage(inst, samples, params, seed, stage, trials) -> RunSummary:
-    res = stage_search(inst, samples, params, stage, seed)
-    return RunSummary(
-        best_state=res.best_state,
-        states_visited=res.total_states_visited,
-        iterations=res.iterations,
-        converged=res.converged,
-        per_iteration_optima=res.per_iteration_optima,
-        result=res,
-    )
-
-
 # In run order. The entries look the algorithms up as module globals at call
 # time, so rebinding one of those names (as a tracer does) reaches every run.
 _ALGORITHMS = {
-    "stage": _stage,
+    "stage": lambda inst, samples, params, seed, stage, trials: stage_search(
+        inst, samples, params, stage, seed
+    ),
     "random": lambda inst, samples, params, seed, stage, trials: baseline_random_best(
         inst, samples, params, trials, seed
     ),
@@ -267,7 +257,7 @@ def run_cell_rep(cfg: ExperimentConfig, value: int, rep: int) -> list[RunRecord]
                 # nearest builds one placement without searching. Sweep rows
                 # report it at the trial budget the sampling baselines share;
                 # the solve/baseline JSON reports the one state it built.
-                states=cfg.baseline_trials if alg == "nearest" else run.states_visited,
+                states=cfg.baseline_trials if alg == "nearest" else run.total_states_visited,
                 iterations=run.iterations,
                 converged=run.converged,
                 per_iteration_rho=run.per_iteration_optima,

@@ -9,7 +9,7 @@ import numpy as np
 from .costs import Placement, evaluate
 from .domain import Instance
 from .errors import SizeCapExceeded
-from .saa import SaaParams, SampleSet, allowed_overloads, is_feasible, overload_profile
+from .saa import SaaParams, SampleSet, allowed_overloads, check_theta, is_feasible, overload_profile
 
 DEFAULT_SIZE_CAP = 2_000_000
 
@@ -80,6 +80,7 @@ def exact_solve(
     per server. The reported optimum is recomputed from scratch for the
     winning placement.
     """
+    check_theta(samples, params)
     S, K = inst.num_servers, inst.total_components
     total_states = S**K
     if max(total_states, 2**K) > size_cap:

@@ -65,6 +65,15 @@ def allowed_overloads(params: SaaParams) -> int:
     return math.floor(params.epsilon * params.theta + 1e-9)
 
 
+def check_theta(samples: SampleSet, params: SaaParams) -> None:
+    """Refuse scenarios that are not the ``params.theta`` the overload budget
+    floor(epsilon * theta) is counted over."""
+    if samples.theta != params.theta:
+        raise ConfigurationError(
+            f"{samples.theta} scenarios given where params.theta is {params.theta}"
+        )
+
+
 def draw_samples(inst: Instance, params: SaaParams, seed: int) -> SampleSet:
     """Independent draws of each component's cycle demand across scenarios.
 

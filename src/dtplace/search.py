@@ -23,6 +23,7 @@ from .saa import (
     SaaParams,
     SampleSet,
     allowed_overloads,
+    check_theta,
     is_feasible,
     load_matrix,
     overload_profile,
@@ -63,14 +64,16 @@ class SearchStats:
 @dataclass(frozen=True)
 class RunSummary:
     """What every placement algorithm reports: its best state and the search
-    effort behind it."""
+    effort behind it. The per-iteration fields and ``final_state`` are the
+    learned-restart search's; baselines leave them empty."""
 
-    best_state: SearchState
-    states_visited: int
+    best_state: SearchState  # lowest-cost state visited
+    total_states_visited: int
     iterations: int
     converged: bool = False
     per_iteration_optima: tuple[float, ...] = ()
-    result: object = None  # the algorithm's own fuller result, e.g. a StageResult
+    per_iteration_lengths: tuple[int, ...] = ()  # states visited per cost descent
+    final_state: SearchState | None = None  # endpoint of the last cost descent
 
 
 def make_state(inst: Instance, samples: SampleSet, params: SaaParams, pl: Placement) -> SearchState:
@@ -211,6 +214,7 @@ def hill_climb(
     def value(total, dist_off, dist_com):
         return total if objective is None else objective.predict_pair(dist_off, dist_com)
 
+    check_theta(samples, params)
     if not is_feasible(start.profile, params):
         raise ValueError("hill_climb requires a feasible start state")
     K, S = inst.total_components, inst.num_servers
@@ -264,6 +268,7 @@ def random_feasible_state(
     in random order and servers ranked by their current worst excess;
     raises :class:`NoFeasibleState` when that also fails.
     """
+    check_theta(samples, params)
     rng = stream(seed, "search")
     K, S = inst.total_components, inst.num_servers
     budget = allowed_overloads(params)
@@ -294,6 +299,7 @@ def _greedy_fill(
     components placed so far. Raises :class:`NoFeasibleState` when some
     component fits nowhere.
     """
+    check_theta(samples, params)
     budget = allowed_overloads(params)
     cap = inst.capacities
     assignment = np.full(inst.total_components, -1, dtype=np.int64)

@@ -18,7 +18,7 @@ import numpy as np
 from .domain import Instance
 from .errors import ConfigurationError
 from .saa import SaaParams, SampleSet
-from .search import SearchState, Trajectory, hill_climb, random_feasible_state
+from .search import RunSummary, SearchState, Trajectory, hill_climb, random_feasible_state
 from .seeding import child_seed
 
 RIDGE_DEFAULT = 1e-8
@@ -38,7 +38,6 @@ class QuadraticModel:
     coefficients: np.ndarray  # (6,)
     feature_mean: np.ndarray  # (2,)
     feature_sd: np.ndarray  # (2,)
-    ridge: float
 
     def __post_init__(self):
         for arr in (self.coefficients, self.feature_mean, self.feature_sd):
@@ -67,17 +66,6 @@ class StageConfig:
             raise ConfigurationError("phase2_step_cap must be >= 1")
 
 
-@dataclass(frozen=True)
-class StageResult:
-    final_state: SearchState  # endpoint of the last cost descent
-    best_state: SearchState  # lowest-cost state visited in either phase
-    iterations: int
-    per_iteration_optima: tuple[float, ...]
-    per_iteration_lengths: tuple[int, ...]
-    total_states_visited: int  # sum of cost-descent trajectory lengths
-    converged: bool
-
-
 def converged(rho_t: float, rho_prev: float, delta: float) -> bool:
     """Relative-change stopping rule on consecutive local optima.
 
@@ -92,11 +80,12 @@ def converged(rho_t: float, rho_prev: float, delta: float) -> bool:
     return abs(rho_t - rho_prev) / denom < delta
 
 
-def fit_value_model(all_trajectories: list[Trajectory], ridge: float) -> QuadraticModel:
+def fit_value_model(all_trajectories: list[Trajectory]) -> QuadraticModel:
     """Regularized least squares over the pooled trajectory dataset.
 
     Every visited state contributes (features -> its trajectory's endpoint
-    cost). If the normal system cannot be solved even with the ridge term,
+    cost); the ridge term ``RIDGE_DEFAULT`` penalizes all but the intercept.
+    If the normal system cannot be solved even with the ridge term,
     the degenerate constant model predicting the target mean is returned.
     """
     rows = [
@@ -115,18 +104,18 @@ def fit_value_model(all_trajectories: list[Trajectory], ridge: float) -> Quadrat
         # Identical targets: the penalized optimum is exactly the constant
         # surface, so skip the solve rather than pick up solver noise.
         beta = np.array([y[0], 0.0, 0.0, 0.0, 0.0, 0.0])
-        return QuadraticModel(coefficients=beta, feature_mean=mean, feature_sd=sd, ridge=ridge)
+        return QuadraticModel(coefficients=beta, feature_mean=mean, feature_sd=sd)
     u = (x[:, 0] - mean[0]) / sd[0]
     v = (x[:, 1] - mean[1]) / sd[1]
     design = np.column_stack([np.ones_like(u), u, v, u * u, v * v, u * v])
-    normal = design.T @ design + ridge * _INTERCEPT_FREE
+    normal = design.T @ design + RIDGE_DEFAULT * _INTERCEPT_FREE
     try:
         beta = np.linalg.solve(normal, design.T @ y)
         if not np.isfinite(beta).all():
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
         beta = np.array([y.mean(), 0.0, 0.0, 0.0, 0.0, 0.0])
-    return QuadraticModel(coefficients=beta, feature_mean=mean, feature_sd=sd, ridge=ridge)
+    return QuadraticModel(coefficients=beta, feature_mean=mean, feature_sd=sd)
 
 
 def stage_search(
@@ -135,13 +124,15 @@ def stage_search(
     params: SaaParams,
     cfg: StageConfig,
     seed: int,
-) -> StageResult:
+) -> RunSummary:
     """Iterated cost descent with learned restarts.
 
     Starts from a random feasible state. Per iteration: descend on cost,
     record the trajectory, and unless the stopping rule fires, refit the
     value model on all trajectories so far and descend on its prediction
-    from the current optimum to obtain the next start.
+    from the current optimum to obtain the next start. The best state is the
+    lowest-cost state visited in either phase; states visited count the
+    cost descents' trajectories only.
     """
     best: SearchState | None = None
 
@@ -175,7 +166,7 @@ def stage_search(
             break
         if t == cfg.max_iterations:
             break
-        model = fit_value_model(trajectories, RIDGE_DEFAULT)
+        model = fit_value_model(trajectories)
         predicted_start = descend_on(model, endpoint)
         exogenous_restart = False
         if predicted_start.placement.servers == endpoint.placement.servers:
@@ -194,25 +185,25 @@ def stage_search(
         # stopping rule measures; the comparator returns to the sentinel.
         rho_prev = math.inf if exogenous_restart else endpoint.eval.total
     assert best is not None
-    return StageResult(
-        final_state=final,
+    return RunSummary(
         best_state=best,
+        total_states_visited=sum(lengths),
         iterations=len(optima),
+        converged=did_converge,
         per_iteration_optima=tuple(optima),
         per_iteration_lengths=tuple(lengths),
-        total_states_visited=sum(lengths),
-        converged=did_converge,
+        final_state=final,
     )
 
 
-def write_iteration_log(result: StageResult, path) -> None:
-    """Debug export: one row per outer iteration."""
+def write_iteration_log(run: RunSummary, path) -> None:
+    """Debug export of a :func:`stage_search` run: one row per outer iteration."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "q_t", "rho_t", "converged"])
-        last = result.iterations
+        last = run.iterations
         for t, (rho, q) in enumerate(
-            zip(result.per_iteration_optima, result.per_iteration_lengths), start=1
+            zip(run.per_iteration_optima, run.per_iteration_lengths), start=1
         ):
-            flag = 1 if (result.converged and t == last) else 0
+            flag = 1 if (run.converged and t == last) else 0
             writer.writerow([t, q, f"{rho:.6f}", flag])

@@ -41,19 +41,7 @@ def build_instance(servers, devices, unit_cost):
             for j, (mean, kb, row) in enumerate(comps)
         )
         dev.append(PhysicalDevice(id=i + 1, position=Point(x, y), components=components))
-
-    def l1(a, b):
-        return abs(a.position.x - b.position.x) + abs(a.position.y - b.position.y)
-
-    dist_sd = np.array([[l1(s, d) for d in dev] for s in srv], dtype=np.float64)
-    dist_ss = np.array([[l1(a, b) for b in srv] for a in srv], dtype=np.float64)
-    return Instance(
-        servers=srv,
-        devices=tuple(dev),
-        unit_transport_cost=unit_cost,
-        dist_server_device=dist_sd,
-        dist_server_server=dist_ss,
-    )
+    return Instance(servers=srv, devices=tuple(dev), unit_transport_cost=unit_cost)
 
 
 def constant_samples(inst, values, theta):

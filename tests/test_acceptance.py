@@ -266,7 +266,7 @@ def test_criterion_8_mechanical_invariants(tmp_path):
     for _ in range(25):
         f1, f2 = rng.uniform(0, 10, 2)
         pts.append((((f1, f2),), 2 + 3 * f1 - f2 + 0.5 * f1 * f1))
-    model = fit_value_model(make_trajectories(pts), ridge=1e-8)
+    model = fit_value_model(make_trajectories(pts))
     recovered = all(
         abs(model.predict_pair(f1, f2) - (2 + 3 * f1 - f2 + 0.5 * f1 * f1)) <= 1e-6
         for f1, f2 in GRID

@@ -35,7 +35,7 @@ def test_random_best_single_trial_returns_that_draw():
     result = baseline_random_best(inst, samples, params, trials=1, seed=9)
     direct = random_feasible_state(inst, samples, params, _trial_seed(9, 0))
     assert result.best_state.placement.servers == direct.placement.servers
-    assert result.states_visited == 1
+    assert result.total_states_visited == 1
 
 
 def test_random_best_improves_with_nested_trials():
@@ -56,7 +56,7 @@ def test_random_best_matches_replay_oracle():
     ]
     best = min(replayed, key=lambda s: s.eval.total)
     assert result.best_state.eval.total == best.eval.total
-    assert result.states_visited == 10
+    assert result.total_states_visited == 10
 
 
 def test_restart_hillclimb_dominates_random_best_pointwise():
@@ -81,7 +81,7 @@ def test_restart_hillclimb_state_accounting():
         start = random_feasible_state(inst, samples, params, _trial_seed(11, i))
         _, traj, _ = hill_climb(inst, samples, params, start)
         lengths.append(len(traj.points))
-    assert result.states_visited == sum(lengths)
+    assert result.total_states_visited == sum(lengths)
 
 
 def test_restart_hillclimb_finds_oracle_on_tiny_instance():
@@ -112,7 +112,7 @@ def test_nearest_places_components_at_nearest_server_with_slack():
         for k in range(inst.total_components)
     )
     assert result.best_state.features.dist_off == pytest.approx(expected_f1, rel=1e-12)
-    assert result.states_visited == 1
+    assert result.total_states_visited == 1
 
 
 def test_nearest_single_server():

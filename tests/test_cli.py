@@ -37,6 +37,7 @@ def test_gen_writes_instance(instance_file):
     assert data["seed"] == 5
     assert len(data["instance"]["servers"]) == 3
     assert len(data["instance"]["devices"]) == 2
+    assert not any(key.startswith("dist_") for key in data["instance"])
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -351,6 +352,16 @@ def test_bad_thread_count_exits_2(tmp_path, monkeypatch, value, capsys):
     assert "DTPLACE_THREADS" in capsys.readouterr().err
 
 
+def set_exchange(value):
+    """Set both entries of device 1's exchange pair (1, 2), keeping it symmetric."""
+
+    def mutate(d):
+        comps = d["devices"][0]["components"]
+        comps[0]["exchange_kb"][1] = comps[1]["exchange_kb"][0] = value
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -358,8 +369,28 @@ def test_bad_thread_count_exits_2(tmp_path, monkeypatch, value, capsys):
         (lambda d: d["devices"][0].__setitem__("x", "far"), "malformed instance"),
         (lambda d: d["devices"][0]["components"][0]["exchange_kb"].append(1.0),
          "exchange vector length"),
+        (set_exchange(-500.0), "exchange_kb negative or not finite"),
+        (set_exchange(float("inf")), "exchange_kb negative or not finite"),
+        (lambda d: d["devices"][0]["components"][0].__setitem__("offload_kb", float("inf")),
+         "offload_kb not positive and finite"),
+        (lambda d: d.__setitem__("unit_transport_cost", float("nan")),
+         "unit_transport_cost negative or not finite"),
+        (lambda d: d.__setitem__("unit_transport_cost", -1.0),
+         "unit_transport_cost negative or not finite"),
+        (lambda d: d["servers"][1].__setitem__("y", float("nan")),
+         "server 2 has a negative or non-finite coordinate"),
     ],
-    ids=["missing-key", "not-a-number", "exchange-row-length"],
+    ids=[
+        "missing-key",
+        "not-a-number",
+        "exchange-row-length",
+        "exchange-negative",
+        "exchange-inf",
+        "offload-inf",
+        "unit-cost-nan",
+        "unit-cost-negative",
+        "coordinate-nan",
+    ],
 )
 def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, message, capsys):
     data = json.loads(instance_file.read_text())["instance"]
@@ -369,6 +400,28 @@ def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, messag
     rc = main(["oracle", *common_flags(path)])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
+    """Files written when the instance carried its distance matrices solve
+    exactly as the same file without them."""
+    data = json.loads(instance_file.read_text())
+    inst = data["instance"]
+    servers, devices = inst["servers"], inst["devices"]
+    inst["dist_server_device"] = [
+        [abs(s["x"] - d["x"]) + abs(s["y"] - d["y"]) for d in devices] for s in servers
+    ]
+    inst["dist_server_server"] = [
+        [abs(a["x"] - b["x"]) + abs(a["y"] - b["y"]) for b in servers] for a in servers
+    ]
+    old = tmp_path / "with_distances.json"
+    old.write_text(json.dumps(data))
+    outputs = []
+    for path in (instance_file, old):
+        out = tmp_path / f"solve_{path.stem}.json"
+        assert main(["solve", *common_flags(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import pytest
 
 from dtplace import (
     ConfigurationError,
+    EdgeServer,
     GenConfig,
+    Instance,
     Point,
     generate_instance,
     instance_from_dict,
@@ -61,6 +63,15 @@ def test_generated_distances_match_recomputation():
             assert inst.dist_server_server[a, b] == expect
 
 
+def test_distance_matrices_are_derived_and_read_only():
+    srv = (EdgeServer(id=1, position=Point(1.0, 2.0), cost_per_cycle=1.0, capacity=1.0),) * 2
+    inst = Instance(servers=srv, devices=(), unit_transport_cost=0.5)
+    assert inst.dist_server_device.shape == (2, 0)
+    assert inst.dist_server_server.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError):
+        inst.dist_server_server[0, 1] = 1.0
+
+
 def test_generated_values_respect_config_bounds():
     cfg = GenConfig(num_servers=5, num_devices=4, components_range=(1, 4))
     for seed in range(5):
@@ -90,16 +101,6 @@ def test_validate_flags_asymmetric_exchange():
     data["devices"][0]["components"][0]["exchange_kb"][1] += 1.0
     broken = instance_from_dict(data)
     assert any("asymmetric" in v for v in validate_instance(broken))
-
-
-def test_validate_flags_stale_distances():
-    cfg = GenConfig(num_servers=2, num_devices=2, components_range=(1, 1))
-    inst = generate_instance(cfg, 4)
-    data = instance_to_dict(inst)
-    data["dist_server_server"][0][1] += 5.0
-    broken = instance_from_dict(data)
-    violations = validate_instance(broken)
-    assert any("stale" in v for v in violations)
 
 
 def test_validate_flags_nonpositive_fields():

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dtplace import (
+    ConfigurationError,
     GenConfig,
     NoFeasibleState,
     Placement,
     SaaParams,
     SampleSet,
+    StageConfig,
     Trajectory,
     allowed_overloads,
+    baseline_nearest,
+    baseline_random_best,
+    baseline_restart_hillclimb,
     draw_samples,
     evaluate,
     exact_solve,
@@ -22,11 +27,11 @@ from dtplace import (
     make_state,
     overload_profile,
     random_feasible_state,
+    stage_search,
 )
 from dtplace import search
 from dtplace.saa import load_matrix
 from dtplace.search import _Workspace
-from dtplace.stage import RIDGE_DEFAULT
 
 from conftest import build_instance, constant_samples
 
@@ -486,7 +491,7 @@ def test_hill_climb_matches_reference_climb_step_for_step(case):
     # but equal when screened, so ties are judged to a relative 1e-9: each
     # step takes one of the scan's best moves, and the climb stops where no
     # move improves.
-    model = fit_value_model([Trajectory((s.features,), s.eval.total) for s in visited], RIDGE_DEFAULT)
+    model = fit_value_model([Trajectory((s.features,), s.eval.total) for s in visited])
     visited = []
     hill_climb(inst, samples, params, start, objective=model, on_visit=visited.append)
     assert visited[0] is start
@@ -546,3 +551,28 @@ def test_candidate_count_at_exact_capacity():
     tables = ws.move_tables()
     assert tables.feasible[1, 0] and not tables.feasible[0, 1]
     check_workspace(inst, samples, params, [0, 1], [(1, 0), (0, 1), (1, 1)])
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda inst, samples, params, start: random_feasible_state(inst, samples, params, 1),
+        lambda inst, samples, params, start: hill_climb(inst, samples, params, start),
+        lambda inst, samples, params, start: exact_solve(inst, samples, params),
+        lambda inst, samples, params, start: stage_search(
+            inst, samples, params, StageConfig(), 1
+        ),
+        lambda inst, samples, params, start: baseline_random_best(inst, samples, params, 2, 1),
+        lambda inst, samples, params, start: baseline_restart_hillclimb(
+            inst, samples, params, 2, 1
+        ),
+        lambda inst, samples, params, start: baseline_nearest(inst, samples, params),
+    ],
+    ids=["random-start", "hill-climb", "oracle", "stage", "random", "restart", "nearest"],
+)
+def test_entry_points_refuse_samples_of_another_theta(run):
+    inst, params, samples = seeded_setup(3, theta=60)
+    start = random_feasible_state(inst, samples, params, 2)
+    other = SaaParams(alpha=params.alpha, epsilon=params.epsilon, theta=120)
+    with pytest.raises(ConfigurationError, match="60 scenarios"):
+        run(inst, samples, other, start)

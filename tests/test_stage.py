@@ -58,7 +58,7 @@ def test_fit_recovers_planted_quadratic():
         f1, f2 = rng.uniform(0, 10, 2)
         target = 2 + 3 * f1 - f2 + 0.5 * f1 * f1
         pts.append((((f1, f2),), target))
-    model = fit_value_model(make_trajectories(pts), ridge=1e-8)
+    model = fit_value_model(make_trajectories(pts))
     for f1, f2 in GRID:
         expected = 2 + 3 * f1 - f2 + 0.5 * f1 * f1
         assert model.predict_pair(f1, f2) == pytest.approx(expected, abs=1e-6)
@@ -68,19 +68,19 @@ def test_fit_recovers_planted_quadratic():
 def test_fit_constant_targets_yields_constant_model():
     rng = np.random.default_rng(5)
     pts = [(((rng.uniform(0, 100), rng.uniform(0, 100)),), 37.5) for _ in range(10)]
-    model = fit_value_model(make_trajectories(pts), ridge=1e-8)
+    model = fit_value_model(make_trajectories(pts))
     for f1, f2 in [(0, 0), (1e6, -5.0), (123.4, 567.8)]:
         assert model.predict_pair(f1, f2) == pytest.approx(37.5, abs=1e-9)
 
 
 def test_fit_single_point_is_degenerate_constant():
-    model = fit_value_model(make_trajectories([(((3.0, 4.0),), 12.0)]), ridge=1e-8)
+    model = fit_value_model(make_trajectories([(((3.0, 4.0),), 12.0)]))
     assert model.predict_pair(100.0, -3.0) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_fit_requires_data():
     with pytest.raises(ValueError):
-        fit_value_model([], ridge=1e-8)
+        fit_value_model([])
 
 
 def test_predict_is_invariant_under_consistent_rescaling():
@@ -92,9 +92,9 @@ def test_predict_is_invariant_under_consistent_rescaling():
         target = 1 + f1 + 2 * f2 + 0.1 * f1 * f2
         pts.append((((f1, f2),), target))
         scaled.append((((1000 * f1, f2 / 1000),), target))
-    model = fit_value_model(make_trajectories(pts), ridge=1e-8)
+    model = fit_value_model(make_trajectories(pts))
     # the same data in other feature units fits the same surface
-    rescaled = fit_value_model(make_trajectories(scaled), ridge=1e-8)
+    rescaled = fit_value_model(make_trajectories(scaled))
     for f1, f2 in GRID:
         f1, f2 = 5 * f1, 5 * f2
         expected = 1 + f1 + 2 * f2 + 0.1 * f1 * f2
