@@ -114,6 +114,23 @@ def features(inst: Instance, pl: Placement) -> FeatureVector:
     return FeatureVector(dist_off=f1, dist_com=f2)
 
 
+def measure(inst: Instance, pl: Placement) -> tuple[CostBreakdown, FeatureVector]:
+    """``(evaluate(inst, pl), features(inst, pl))`` from one gather of each
+    distance matrix; the sums are theirs, so the results are bit-identical."""
+    a = _assignment(inst, pl)
+    r = inst.unit_transport_cost
+    dev_dist = inst.dist_server_device[a, inst.component_device]
+    pair_dist = inst.dist_server_server[a[:, None], a[None, :]]
+    cost = CostBreakdown(
+        offload=float((dev_dist * inst.component_offload_kb).sum()) * r,
+        communication=float((pair_dist * inst.exchange_matrix).sum()) * r,
+    )
+    feat = FeatureVector(
+        dist_off=float(dev_dist.sum()), dist_com=float(pair_dist[inst.sibling_mask].sum())
+    )
+    return cost, feat
+
+
 def placement_to_triples(inst: Instance, pl: Placement) -> list[tuple[int, int, int]]:
     """(device_id, component_id, server_id) triples using 1-based labels."""
     a = _assignment(inst, pl)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,10 +60,13 @@ class SampleSet:
 
 
 def allowed_overloads(params: SaaParams) -> int:
-    """Per-server budget of overloaded scenarios: floor(epsilon * theta)."""
-    # The epsilon guard keeps the floor exact when epsilon*theta is integral
-    # but not representable (e.g. 0.3 * 10).
-    return math.floor(params.epsilon * params.theta + 1e-9)
+    """Per-server budget of overloaded scenarios: floor(epsilon * theta).
+
+    Epsilon is read as the decimal it was written as, so the floor is exact
+    where the binary product is not: 0.3 * 10 gives 3, and 0.00499999999995
+    * 1000 gives 4.
+    """
+    return math.floor(Fraction(repr(float(params.epsilon))) * params.theta)
 
 
 def check_theta(samples: SampleSet, params: SaaParams) -> None:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .costs import CostBreakdown, FeatureVector, Placement, evaluate, features
+from .costs import CostBreakdown, FeatureVector, Placement, evaluate, features, measure
 from .domain import Instance
 from .errors import NoFeasibleState
 from .saa import (
@@ -130,19 +130,31 @@ class _Workspace:
         self.sib_on = valid.astype(np.float64)
         self.sib_g = np.where(valid, inst.exchange_matrix[self.rows[:, None], self.sib_idx], 0.0)
         self.block_rows = max(1, COUNT_BLOCK_BYTES // (8 * samples.theta))
+        # rate_max[k, s] bounds every scenario's rate * cycles of k on s.
+        self.rate_max = samples.cycles.max(axis=1)[:, None] * inst.cost_rates[None, :]
         self.cand_counts = np.empty((K, S), dtype=np.int64)
         for s in range(S):
             self._count_column(s)
 
     def _count_column(self, s: int) -> None:
-        """Recount ``cand_counts[:, s]`` from server s's load, by row blocks."""
+        """Recount ``cand_counts[:, s]`` from server s's load.
+
+        A row whose bound ``rate_max + max(load)`` stays within capacity
+        counts 0 without a scan: float rounding is monotone, so no scenario's
+        ``rate * cycles + load`` can exceed that bound. The other rows are
+        counted by row blocks.
+        """
         cyc = self.samples.cycles
         rate = self.inst.cost_rates[s]
         cap = self.inst.capacities[s]
-        for lo in range(0, cyc.shape[0], self.block_rows):
-            cand = rate * cyc[lo : lo + self.block_rows]
-            cand += self.load[s]
-            self.cand_counts[lo : lo + len(cand), s] = np.count_nonzero(cand > cap, axis=1)
+        load = self.load[s]
+        self.cand_counts[:, s] = 0
+        rows = np.flatnonzero(self.rate_max[:, s] + load.max() > cap)
+        for lo in range(0, len(rows), self.block_rows):
+            block = rows[lo : lo + self.block_rows]
+            cand = rate * cyc[block]
+            cand += load
+            self.cand_counts[block, s] = np.count_nonzero(cand > cap, axis=1)
 
     def apply(self, k: int, target: int) -> SearchState:
         """Move component k to ``target``; the new current state is evaluated
@@ -158,11 +170,12 @@ class _Workspace:
                 self.load[s] = 0.0
             self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
             self._count_column(s)
-        pl = Placement(tuple(int(s) for s in self.assignment))
+        pl = Placement(tuple(self.assignment.tolist()))
+        cost, feat = measure(inst, pl)
         self.state = SearchState(
             placement=pl,
-            eval=evaluate(inst, pl),
-            features=features(inst, pl),
+            eval=cost,
+            features=feat,
             profile=OverloadProfile(self.counts.copy(), self.samples.theta),
         )
         return self.state

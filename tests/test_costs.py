@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtplace import (
     GenConfig,
@@ -19,6 +20,7 @@ from dtplace import (
     placement_from_triples,
     placement_to_triples,
 )
+from dtplace.costs import measure
 
 from conftest import build_instance
 
@@ -218,6 +220,40 @@ def test_features_examples_and_oracle():
         f1, f2 = explicit_features(inst, pl)
         assert f.dist_off == pytest.approx(f1, rel=1e-12)
         assert f.dist_com == pytest.approx(f2, rel=1e-12)
+
+
+@st.composite
+def placed_instances(draw):
+    cfg = GenConfig(
+        num_servers=draw(st.integers(1, 5)),
+        num_devices=draw(st.integers(1, 6)),
+        components_range=(1, draw(st.integers(1, 4))),
+    )
+    inst = generate_instance(cfg, draw(st.integers(0, 2**32 - 1)))
+    servers = draw(
+        st.lists(
+            st.integers(0, cfg.num_servers - 1),
+            min_size=inst.total_components,
+            max_size=inst.total_components,
+        )
+    )
+    return inst, Placement(tuple(servers))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=placed_instances())
+def test_measure_is_evaluate_and_features_bit_for_bit(case):
+    inst, pl = case
+    cost, feat = measure(inst, pl)
+    ref_cost, ref_feat = evaluate(inst, pl), features(inst, pl)
+    for got, want in (
+        (cost.offload, ref_cost.offload),
+        (cost.communication, ref_cost.communication),
+        (cost.total, ref_cost.total),
+        (feat.dist_off, ref_feat.dist_off),
+        (feat.dist_com, ref_feat.dist_com),
+    ):
+        assert got.hex() == want.hex()
 
 
 def test_incomplete_placement_rejected(small_instance):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from dtplace import (
     SaaParams,
     allowed_overloads,
     approx_success_prob,
+    baseline_nearest,
     draw_samples,
     generate_instance,
     is_feasible,
     overload_profile,
+    validate_p1_feasibility,
 )
 from dtplace.saa import load_matrix
 
@@ -154,6 +158,8 @@ def test_feasibility_threshold_examples():
     assert is_feasible(_profile([0, 0, 0], 1850), params)
     # floor must be exact when epsilon * theta is integral
     assert allowed_overloads(SaaParams(alpha=0.5, epsilon=0.3, theta=10)) == 3
+    # ... and must not round up a decimal product just below an integer
+    assert allowed_overloads(SaaParams(alpha=0.01, epsilon=0.00499999999995, theta=1000)) == 4
 
 
 def test_feasibility_monotone_in_epsilon():
@@ -198,3 +204,43 @@ def test_approx_success_prob():
         prev = value
     wide = approx_success_prob(SaaParams(alpha=0.02, epsilon=0.005, theta=1850))
     assert wide > approx_success_prob(params)
+
+
+def binomial_lower_quantile(n, p, tail):
+    """Largest m with P(Binomial(n, p) < m) <= tail."""
+    below = 0.0
+    for m in range(n + 1):
+        nxt = below + math.comb(n, m) * p**m * (1 - p) ** (n - m)
+        if nxt > tail:
+            return m
+        below = nxt
+    return n
+
+
+def test_saa_guarantee_holds_over_independent_sample_sets():
+    # Luedtke & Ahmed (2008): with probability at least approx_success_prob,
+    # every placement feasible for the sampled problem meets the original
+    # chance constraint P(overload) <= alpha. Three components of one device
+    # share server 0; together their true overload probability is about
+    # 0.055 > alpha. The nearest-server greedy puts the third on server 0
+    # only when that sample set counts it within budget, and that placement
+    # then fails validation on fresh scenarios. Over independent sample sets
+    # the share of placements that pass must reach approx_success_prob, less
+    # a binomial margin: fewer passes than the 0.1 % lower quantile of
+    # Binomial(sets, approx_success_prob) fails the test.
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 3.5536), (100, 0, 1.0, 1e9)],
+        devices=[(1, 0, [(1.0, 100.0, (0.0, 0.0, 0.0))] * 3)],
+        unit_cost=1.0,
+    )
+    params = SaaParams(alpha=0.05, epsilon=0.025, theta=200)
+    sets = 200
+    passes = 0
+    for i in range(sets):
+        samples = draw_samples(inst, params, 10_000 + i)
+        placement = baseline_nearest(inst, samples, params).best_state.placement
+        proportion = validate_p1_feasibility(inst, placement, params.alpha, 20000, 20_000 + i)
+        passes += proportion <= params.alpha
+    least = binomial_lower_quantile(sets, approx_success_prob(params), 1e-3)
+    assert least == 171  # a share of 0.855 against approx_success_prob 0.918
+    assert passes >= least

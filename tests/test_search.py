@@ -554,6 +554,32 @@ def test_candidate_count_at_exact_capacity():
 
 
 @pytest.mark.parametrize(
+    "one_ulp_below, overloads", [(False, 0), (True, 1)], ids=["at-bound", "one-ulp-above"]
+)
+def test_count_screen_boundary(one_ulp_below, overloads):
+    # Component 1 joining server 0 meets server 0's load in scenario 1, where
+    # both peak. With capacity equal to the screen's bound
+    # fl(rate * max(cyc[1])) + max(load[0]), that scenario sums to exactly
+    # capacity, so the screen settles the row to 0. With capacity one ulp
+    # below the bound, the row must be recounted and scenario 1 overloads.
+    rate = 3.3
+    cyc = np.array([[0.7, 1.9, 1.3], [0.4, 2.1, 1.1]])
+    bound = rate * 2.1 + rate * 1.9
+    cap = float(np.nextafter(bound, -np.inf)) if one_ulp_below else bound
+    inst = build_instance(
+        servers=[(0, 0, rate, cap), (10, 0, 1.0, 1e9)],
+        devices=[(5, 0, [(1.5, 200.0, (0.0, 80.0)), (1.2, 100.0, (80.0, 0.0))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.5, epsilon=0.4, theta=3)
+    samples = SampleSet(cycles=cyc)
+    ws = workspace(inst, samples, params, [0, 1])
+    assert ws.rate_max[1, 0] + ws.load[0].max() == bound
+    assert ws.cand_counts[1, 0] == overloads
+    check_workspace(inst, samples, params, [0, 1], [(1, 0), (1, 1), (0, 1)])
+
+
+@pytest.mark.parametrize(
     "run",
     [
         lambda inst, samples, params, start: random_feasible_state(inst, samples, params, 1),

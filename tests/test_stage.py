@@ -182,6 +182,21 @@ def test_stage_is_deterministic():
     assert a.converged == b.converged
 
 
+def test_stage_golden_output():
+    # A pinned seeded solve at the paper's theta: a speed-up of the climb
+    # must leave its best cost and placement unchanged.
+    inst = generate_instance(GenConfig(num_servers=10, num_devices=30, components_range=(1, 3)), 1)
+    params = SaaParams(alpha=0.01, epsilon=0.005, theta=1850)
+    samples = draw_samples(inst, params, 2)
+    result = stage_search(inst, samples, params, StageConfig(), 3)
+    assert result.best_state.eval.total == 113139.99364995885
+    assert result.best_state.placement.servers == (
+        6, 6, 4, 1, 0, 1, 1, 2, 2, 2, 5, 1, 5, 3, 3, 3, 5, 5, 5, 5, 5, 3, 3, 8, 8, 4, 4, 4,
+        5, 5, 5, 9, 7, 7, 7, 2, 2, 7, 8, 6, 6, 6, 1, 8, 8, 8, 9, 9, 6, 8, 8, 2, 2, 5, 5, 8,
+    )
+    assert (result.iterations, result.total_states_visited, result.converged) == (4, 128, True)
+
+
 def test_stage_tracks_oracle_on_tiny_instances():
     close = 0
     total = 0
