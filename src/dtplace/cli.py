@@ -25,7 +25,6 @@ from .domain import (
 from .errors import ConfigurationError, NoFeasibleState, SizeCapExceeded
 from .harness import (
     ExperimentConfig,
-    RunSummary,
     run_algorithm,
     run_experiment_full,
     validate_p1_feasibility,
@@ -33,6 +32,7 @@ from .harness import (
 )
 from .oracle import DEFAULT_SIZE_CAP, exact_solve
 from .saa import SampleSet, SaaParams, draw_samples
+from .search import RunSummary
 from .stage import StageConfig, write_iteration_log
 
 

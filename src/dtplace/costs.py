@@ -1,9 +1,12 @@
 """Deterministic placement evaluation: offload cost, communication cost, features.
 
-All operations are pure functions over immutable inputs. Communication terms
-are summed over ordered sibling pairs, so each unordered pair contributes
-twice; the exchange matrix is symmetric with a zero diagonal, which keeps the
-convention consistent everywhere.
+All operations are pure functions over immutable inputs. Communication runs
+over the instance's sibling table (``Instance.sibling_index`` and
+``sibling_exchange_kb``), so every component meets each of its siblings
+once and each unordered pair contributes twice. :func:`evaluate`,
+:func:`features` and :func:`measure` share one gather of the distances and
+one sum per term, ``float(x.sum())`` over a (K,) or (K, W) array, so their
+results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -52,36 +55,6 @@ def _check_range(value: int, bound: int, name: str) -> None:
         raise IndexError(f"{name} index {value} out of range [0, {bound})")
 
 
-def offloading_cost(inst: Instance, d: int, c: int, s: int) -> float:
-    """Cost of pushing component (d, c) to server s: distance * KB * unit cost."""
-    _check_range(d, inst.num_devices, "device")
-    _check_range(c, len(inst.devices[d].components), "component")
-    _check_range(s, inst.num_servers, "server")
-    k = inst.flat_index(d, c)
-    return float(
-        inst.dist_server_device[s, d]
-        * inst.component_offload_kb[k]
-        * inst.unit_transport_cost
-    )
-
-
-def communication_cost(inst: Instance, d: int, c: int, c2: int, s: int, s2: int) -> float:
-    """Cost of one ordered exchange between siblings (d,c) on s and (d,c2) on s2."""
-    _check_range(d, inst.num_devices, "device")
-    n = len(inst.devices[d].components)
-    _check_range(c, n, "component")
-    _check_range(c2, n, "component")
-    _check_range(s, inst.num_servers, "server")
-    _check_range(s2, inst.num_servers, "server")
-    if c == c2 and s != s2:
-        raise ValueError("a component cannot exchange with itself across two servers")
-    return float(
-        inst.dist_server_server[s, s2]
-        * inst.exchange_matrix[inst.flat_index(d, c), inst.flat_index(d, c2)]
-        * inst.unit_transport_cost
-    )
-
-
 def _assignment(inst: Instance, pl: Placement) -> np.ndarray:
     a = pl.array()
     if a.shape != (inst.total_components,):
@@ -93,42 +66,43 @@ def _assignment(inst: Instance, pl: Placement) -> np.ndarray:
     return a
 
 
+def _distances(inst: Instance, pl: Placement) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) server-device distance of every component and (K, W) server-server
+    distance to each of its siblings; padded slots read 0."""
+    a = _assignment(inst, pl)
+    return (
+        inst.dist_server_device[a, inst.component_device],
+        inst.dist_server_server[a[:, None], a[inst.sibling_index]],
+    )
+
+
+def _cost(inst: Instance, dev_dist: np.ndarray, sib_dist: np.ndarray) -> CostBreakdown:
+    r = inst.unit_transport_cost
+    return CostBreakdown(
+        offload=float((dev_dist * inst.component_offload_kb).sum()) * r,
+        communication=float((sib_dist * inst.sibling_exchange_kb).sum()) * r,
+    )
+
+
+def _features(dev_dist: np.ndarray, sib_dist: np.ndarray) -> FeatureVector:
+    return FeatureVector(dist_off=float(dev_dist.sum()), dist_com=float(sib_dist.sum()))
+
+
 def evaluate(inst: Instance, pl: Placement) -> CostBreakdown:
     """Offload plus communication cost of a complete placement."""
-    a = _assignment(inst, pl)
-    r = inst.unit_transport_cost
-    off = float(
-        (inst.dist_server_device[a, inst.component_device] * inst.component_offload_kb).sum()
-    ) * r
-    pair_dist = inst.dist_server_server[a[:, None], a[None, :]]
-    com = float((pair_dist * inst.exchange_matrix).sum()) * r
-    return CostBreakdown(offload=off, communication=com)
+    return _cost(inst, *_distances(inst, pl))
 
 
 def features(inst: Instance, pl: Placement) -> FeatureVector:
     """Distance features of a complete placement."""
-    a = _assignment(inst, pl)
-    f1 = float(inst.dist_server_device[a, inst.component_device].sum())
-    pair_dist = inst.dist_server_server[a[:, None], a[None, :]]
-    f2 = float(pair_dist[inst.sibling_mask].sum())
-    return FeatureVector(dist_off=f1, dist_com=f2)
+    return _features(*_distances(inst, pl))
 
 
 def measure(inst: Instance, pl: Placement) -> tuple[CostBreakdown, FeatureVector]:
-    """``(evaluate(inst, pl), features(inst, pl))`` from one gather of each
-    distance matrix; the sums are theirs, so the results are bit-identical."""
-    a = _assignment(inst, pl)
-    r = inst.unit_transport_cost
-    dev_dist = inst.dist_server_device[a, inst.component_device]
-    pair_dist = inst.dist_server_server[a[:, None], a[None, :]]
-    cost = CostBreakdown(
-        offload=float((dev_dist * inst.component_offload_kb).sum()) * r,
-        communication=float((pair_dist * inst.exchange_matrix).sum()) * r,
-    )
-    feat = FeatureVector(
-        dist_off=float(dev_dist.sum()), dist_com=float(pair_dist[inst.sibling_mask].sum())
-    )
-    return cost, feat
+    """``(evaluate(inst, pl), features(inst, pl))`` from one gather of the
+    distances; the sums are theirs, so the results are bit-identical."""
+    dev_dist, sib_dist = _distances(inst, pl)
+    return _cost(inst, dev_dist, sib_dist), _features(dev_dist, sib_dist)
 
 
 def placement_to_triples(inst: Instance, pl: Placement) -> list[tuple[int, int, int]]:

@@ -73,6 +73,12 @@ class Instance:
     in meters, indexed by 0-based positions (``dist_server_device[s, d]``),
     and flat per-component arrays (component order: devices in order,
     components in order) for fast evaluation.
+
+    The sibling table is the one form of the exchange data: row k of the
+    (K, W) arrays ``sibling_index`` and ``sibling_exchange_kb`` lists the
+    other components of k's device in ascending flat order and their
+    payloads, padded with k itself and payload 0, where W is the widest
+    device's size minus 1. A padded slot has distance 0 and cost 0.
     """
 
     servers: tuple[EdgeServer, ...]
@@ -88,8 +94,9 @@ class Instance:
         comp_local = np.empty(total, dtype=np.int64)
         offload_kb = np.empty(total, dtype=np.float64)
         mean_cycles = np.empty(total, dtype=np.float64)
-        exchange = np.zeros((total, total), dtype=np.float64)
-        sibling = np.zeros((total, total), dtype=bool)
+        width = max([0, *(n - 1 for n in counts)])
+        sib_index = np.repeat(np.arange(total)[:, None], width, axis=1)
+        sib_kb = np.zeros((total, width), dtype=np.float64)
 
         for d, dev in enumerate(self.devices):
             lo, hi = int(offsets[d]), int(offsets[d + 1])
@@ -104,10 +111,8 @@ class Instance:
                         f"device {dev.id} component {comp.id} exchange vector length "
                         f"{row.size}, expected {hi - lo}"
                     )
-                exchange[lo + c, lo:hi] = row
-            sibling[lo:hi, lo:hi] = True
-
-        np.fill_diagonal(sibling, False)
+                sib_index[lo + c, : hi - lo - 1] = [*range(lo, lo + c), *range(lo + c + 1, hi)]
+                sib_kb[lo + c, : hi - lo - 1] = np.concatenate((row[:c], row[c + 1 :]))
 
         cost_rates = np.array([s.cost_per_cycle for s in self.servers])
         capacities = np.array([s.capacity for s in self.servers])
@@ -129,8 +134,8 @@ class Instance:
             ("component_local_index", comp_local),
             ("component_offload_kb", offload_kb),
             ("component_mean_cycles", mean_cycles),
-            ("exchange_matrix", exchange),
-            ("sibling_mask", sibling),
+            ("sibling_index", sib_index),
+            ("sibling_exchange_kb", sib_kb),
             ("cost_rates", cost_rates),
             ("capacities", capacities),
         ):

@@ -94,14 +94,17 @@ def exact_solve(
     r = inst.unit_transport_cost
     two_r = 2.0 * r
     l_ss = inst.dist_server_server
-    g = inst.exchange_matrix
     # offload[k, s]: cost of component k's offload to server s.
     offload = (r * inst.component_offload_kb)[:, None] * inst.dist_server_device.T[
         inst.component_device
     ]
-    # Siblings with a smaller flat index: each unordered pair is charged
-    # twice (ordered-pair convention) when its second member is assigned.
-    prev_sib = [np.nonzero(inst.sibling_mask[k][:k])[0] for k in range(K)]
+    # (sibling, payload) pairs of the siblings with a smaller flat index, in
+    # ascending order: each unordered pair is charged twice (ordered-pair
+    # convention) when its second member is assigned. Padding (j == k) drops out.
+    prev_sib = [
+        [(int(j), g) for j, g in zip(inst.sibling_index[k], inst.sibling_exchange_kb[k]) if j < k]
+        for k in range(K)
+    ]
 
     # A block holds the S^t placements that share their first K - t digits;
     # tail[i] lists the trailing digits of its i-th placement.
@@ -125,10 +128,10 @@ def exact_solve(
         cost = np.zeros(block)
         for k in range(K):
             term = offload[k, a[k]]
-            if prev_sib[k].size:
+            if prev_sib[k]:
                 exchange = 0.0
-                for j in prev_sib[k]:
-                    exchange = exchange + g[k, j] * l_ss[a[k], a[j]]
+                for j, g in prev_sib[k]:
+                    exchange = exchange + g * l_ss[a[k], a[j]]
                 term = term + two_r * exchange
             cost += term
         feasible = np.ones(block, dtype=bool)

@@ -116,19 +116,8 @@ class _Workspace:
         K, S = inst.total_components, inst.num_servers
         self.rows = np.arange(K)
         self.e_rows = inst.dist_server_device[:, inst.component_device].T
-        # Siblings of k in ascending flat order, padded to the widest device;
-        # padding points at component 0 with weight 0.
-        sizes = np.diff(inst.component_offsets)[inst.component_device]
-        slot = np.arange(max(int(sizes.max(initial=1)) - 1, 0))
-        valid = slot[None, :] < (sizes - 1)[:, None]
-        idx = (
-            inst.component_offsets[inst.component_device][:, None]
-            + slot[None, :]
-            + (slot[None, :] >= inst.component_local_index[:, None])
-        )
-        self.sib_idx = np.where(valid, idx, 0)
-        self.sib_on = valid.astype(np.float64)
-        self.sib_g = np.where(valid, inst.exchange_matrix[self.rows[:, None], self.sib_idx], 0.0)
+        # Padded sibling slots point at k itself; they weigh 0 in both sums.
+        self.sib_on = (inst.sibling_index != self.rows[:, None]).astype(np.float64)
         self.block_rows = max(1, COUNT_BLOCK_BYTES // (8 * samples.theta))
         # rate_max[k, s] bounds every scenario's rate * cycles of k on s.
         self.rate_max = samples.cycles.max(axis=1)[:, None] * inst.cost_rates[None, :]
@@ -192,8 +181,8 @@ class _Workspace:
         f1_new = feat.dist_off + shift
 
         # (K, W, S): distance from every server to each sibling's server.
-        l_sib = inst.dist_server_server.T[a[self.sib_idx]]
-        pair_cost = (l_sib * self.sib_g[:, :, None]).sum(axis=1)
+        l_sib = inst.dist_server_server.T[a[inst.sibling_index]]
+        pair_cost = (l_sib * inst.sibling_exchange_kb[:, :, None]).sum(axis=1)
         pair_dist = (l_sib * self.sib_on[:, :, None]).sum(axis=1)
         com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
         f2_new = feat.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])

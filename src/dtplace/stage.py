@@ -31,8 +31,9 @@ class QuadraticModel:
     """Binary quadratic value surface over standardized distance features.
 
     ``coefficients`` are (intercept, f1, f2, f1^2, f2^2, f1*f2) applied after
-    standardizing each feature by the stored mean and deviation; features
-    with zero variance get deviation 1.
+    standardizing each feature by the stored mean and deviation; a feature
+    whose spread is at most 1e-12 of its mean's magnitude, so zero or
+    rounding noise, gets deviation 1.
     """
 
     coefficients: np.ndarray  # (6,)
@@ -99,7 +100,9 @@ def fit_value_model(all_trajectories: list[Trajectory]) -> QuadraticModel:
     x, y = data[:, :2], data[:, 2]
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
-    sd[sd == 0] = 1.0
+    # A spread at rounding-noise level would blow ulps of a feature up into
+    # swings of the prediction.
+    sd[sd <= 1e-12 * np.abs(mean)] = 1.0
     if np.ptp(y) == 0:
         # Identical targets: the penalized optimum is exactly the constant
         # surface, so skip the solve rather than pick up solver noise.

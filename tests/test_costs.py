@@ -10,19 +10,53 @@ from hypothesis import given, settings, strategies as st
 from dtplace import (
     GenConfig,
     Placement,
-    communication_cost,
     evaluate,
     features,
     generate_instance,
     instance_from_dict,
     instance_to_dict,
-    offloading_cost,
     placement_from_triples,
     placement_to_triples,
 )
 from dtplace.costs import measure
 
 from conftest import build_instance
+
+
+def _check_range(value, bound, name):
+    if not 0 <= value < bound:
+        raise IndexError(f"{name} index {value} out of range [0, {bound})")
+
+
+def offloading_cost(inst, d, c, s):
+    """Reference for one offload term: pushing component (d, c) to server s
+    costs distance * KB * unit cost."""
+    _check_range(d, inst.num_devices, "device")
+    _check_range(c, len(inst.devices[d].components), "component")
+    _check_range(s, inst.num_servers, "server")
+    return float(
+        inst.dist_server_device[s, d]
+        * inst.devices[d].components[c].offload_kb
+        * inst.unit_transport_cost
+    )
+
+
+def communication_cost(inst, d, c, c2, s, s2):
+    """Reference for one exchange term: siblings (d, c) on s and (d, c2) on s2,
+    one ordered exchange."""
+    _check_range(d, inst.num_devices, "device")
+    n = len(inst.devices[d].components)
+    _check_range(c, n, "component")
+    _check_range(c2, n, "component")
+    _check_range(s, inst.num_servers, "server")
+    _check_range(s2, inst.num_servers, "server")
+    if c == c2 and s != s2:
+        raise ValueError("a component cannot exchange with itself across two servers")
+    return float(
+        inst.dist_server_server[s, s2]
+        * inst.devices[d].components[c].exchange_kb[c2]
+        * inst.unit_transport_cost
+    )
 
 
 def explicit_pair_costs(inst, pl):
@@ -220,6 +254,26 @@ def test_features_examples_and_oracle():
         f1, f2 = explicit_features(inst, pl)
         assert f.dist_off == pytest.approx(f1, rel=1e-12)
         assert f.dist_com == pytest.approx(f2, rel=1e-12)
+
+
+def test_costs_and_features_match_explicit_oracles_at_scale():
+    # Devices of 1, 2 and 3 components, so sibling rows of width 2 are full,
+    # half padded and all padding.
+    cfg = GenConfig(num_servers=20, num_devices=60, components_range=(1, 3))
+    inst = generate_instance(cfg, 5)
+    assert {len(dev.components) for dev in inst.devices} == {1, 2, 3}
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        pl = Placement(tuple(int(s) for s in rng.integers(0, 20, inst.total_components)))
+        off, com = explicit_pair_costs(inst, pl)
+        f1, f2 = explicit_features(inst, pl)
+        cost, feat = measure(inst, pl)
+        for got in (evaluate(inst, pl), cost):
+            assert got.offload == pytest.approx(off, rel=1e-9)
+            assert got.communication == pytest.approx(com, rel=1e-9)
+        for got in (features(inst, pl), feat):
+            assert got.dist_off == pytest.approx(f1, rel=1e-9)
+            assert got.dist_com == pytest.approx(f2, rel=1e-9)
 
 
 @st.composite

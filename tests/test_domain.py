@@ -16,6 +16,8 @@ from dtplace import (
     validate_instance,
 )
 
+from conftest import build_instance
+
 
 def test_manhattan_examples():
     assert manhattan(Point(0, 0), Point(3, 4)) == 7
@@ -144,3 +146,47 @@ def test_constructor_rejects_wrong_length_exchange_row():
     data["devices"][0]["components"][0]["exchange_kb"].append(1.0)
     with pytest.raises(ValueError, match="exchange vector length"):
         instance_from_dict(data)
+
+
+def check_sibling_table(inst):
+    """Every valid slot of the sibling table is the raw exchange entry, in
+    ascending flat order; padding points at the component itself with 0."""
+    K = inst.total_components
+    width = max(len(dev.components) for dev in inst.devices) - 1
+    assert inst.sibling_index.shape == inst.sibling_exchange_kb.shape == (K, width)
+    for table in (inst.sibling_index, inst.sibling_exchange_kb):
+        with pytest.raises(ValueError):
+            table[...] = 0
+    for d, dev in enumerate(inst.devices):
+        for c, comp in enumerate(dev.components):
+            k = inst.flat_index(d, c)
+            others = [j for j in range(len(dev.components)) if j != c]
+            n = len(others)
+            assert inst.sibling_index[k, :n].tolist() == [inst.flat_index(d, j) for j in others]
+            assert inst.sibling_exchange_kb[k, :n].tolist() == [comp.exchange_kb[j] for j in others]
+            assert inst.sibling_index[k, n:].tolist() == [k] * (width - n)
+            assert inst.sibling_exchange_kb[k, n:].tolist() == [0.0] * (width - n)
+
+
+def exchange_rows(n, base):
+    return [tuple(0.0 if c == c2 else base + c + c2 for c2 in range(n)) for c in range(n)]
+
+
+@pytest.mark.parametrize(
+    "sizes", [(3, 1, 2, 4, 1), (1, 1, 1)], ids=["mixed-sizes", "all-singletons"]
+)
+def test_sibling_table_matches_raw_exchange_rows(sizes):
+    devices = [
+        (float(i), 0.0, [(1e6, 100.0, row) for row in exchange_rows(n, 10.0 * (i + 1))])
+        for i, n in enumerate(sizes)
+    ]
+    inst = build_instance(servers=[(0.0, 0.0, 1.0, 1e9)], devices=devices, unit_cost=0.5)
+    check_sibling_table(inst)
+
+
+def test_generated_instance_holds_no_pair_matrix():
+    inst = generate_instance(GenConfig(num_servers=100, num_devices=1000, components_range=(1, 3)), 1)
+    check_sibling_table(inst)
+    K = inst.total_components
+    arrays = [v for v in vars(inst).values() if isinstance(v, np.ndarray)]
+    assert arrays and all(a.size < K * K for a in arrays)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from dtplace import (
     ConfigurationError,
@@ -322,7 +322,6 @@ def reference_tables(ws):
     r = inst.unit_transport_cost
     e = inst.dist_server_device
     l_ss = inst.dist_server_server
-    g = inst.exchange_matrix
     m = inst.cost_rates
     cyc = ws.samples.cycles
     out = {name: np.empty((K, S)) for name in ("offload", "communication", "dist_off", "dist_com")}
@@ -334,10 +333,12 @@ def reference_tables(ws):
         e_col = e[:, inst.component_device[k]]
         out["offload"][k] = cost.offload + r * inst.component_offload_kb[k] * (e_col - e_col[a])
         out["dist_off"][k] = feat.dist_off + (e_col - e_col[a])
-        sib = np.nonzero(inst.sibling_mask[k])[0]
-        if sib.size:
-            l_cols = l_ss[:, ws.assignment[sib]]
-            pair_cost = l_cols @ g[k, sib]
+        d, c = int(inst.component_device[k]), int(inst.component_local_index[k])
+        row = inst.devices[d].components[c].exchange_kb
+        others = [j for j in range(len(row)) if j != c]
+        if others:
+            l_cols = l_ss[:, ws.assignment[[inst.flat_index(d, j) for j in others]]]
+            pair_cost = l_cols @ np.array([row[j] for j in others])
             pair_dist = l_cols.sum(axis=1)
             out["communication"][k] = cost.communication + 2.0 * r * (pair_cost - pair_cost[a])
             out["dist_com"][k] = feat.dist_com + 2.0 * (pair_dist - pair_dist[a])
@@ -455,22 +456,31 @@ def workspace_cases(draw):
     return inst, samples, params, assignment, moves
 
 
-@st.composite
-def climb_cases(draw):
-    seed = draw(st.integers(0, 2**32 - 1))
-    num_servers = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    theta = draw(st.integers(1, 30))
-    integral = draw(st.booleans())
-    epsilon = draw(st.sampled_from([0.05, 0.25, 0.5]))
+def climb_case(seed, num_servers, sizes, theta, integral, epsilon):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng, num_servers, sizes, integral)
     samples = random_samples(rng, inst, theta, integral)
     return inst, samples, SaaParams(alpha=0.9, epsilon=epsilon, theta=theta), seed
 
 
+@st.composite
+def climb_cases(draw):
+    return climb_case(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        num_servers=draw(st.integers(1, 4)),
+        sizes=draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)),
+        theta=draw(st.integers(1, 30)),
+        integral=draw(st.booleans()),
+        epsilon=draw(st.sampled_from([0.05, 0.25, 0.5])),
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=climb_cases())
+# A draw whose dist_com spread is rounding noise (sd 4.6e-14 on a mean of
+# 463.7): standardised by that spread, the fitted model's prediction swung by
+# thousands on ulps of dist_com and the prediction descent stopped early.
+@example(case=climb_case(218, 3, [3], 8, False, 0.25))
 def test_hill_climb_matches_reference_climb_step_for_step(case):
     inst, samples, params, seed = case
     try:
