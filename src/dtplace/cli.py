@@ -87,6 +87,8 @@ def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
 
 
 def samples_from_dict(data: dict) -> SampleSet:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"sample file must be a JSON object, got {type(data).__name__}")
     missing = [key for key in ("components", "theta", "cycles") if key not in data]
     if missing:
         raise ConfigurationError(f"sample file is missing {', '.join(missing)}")

@@ -33,9 +33,6 @@ from .seeding import stream
 if TYPE_CHECKING:
     from .stage import QuadraticModel
 
-# Upper bound on the float temporary of one candidate-count block.
-COUNT_BLOCK_BYTES = 128 * 1024
-
 
 @dataclass(frozen=True, eq=False)
 class SearchState:
@@ -94,15 +91,13 @@ class _MoveTables:
     communication: np.ndarray  # (K, S) new communication cost
     dist_off: np.ndarray  # (K, S)
     dist_com: np.ndarray  # (K, S)
-    feasible: np.ndarray  # (K, S) bool; False on the current server
 
 
 class _Workspace:
     """Mutable support structure for one climb, holding its current state.
 
-    ``cand_counts[k, s]`` caches the overload count server ``s`` would have if
-    it also hosted component ``k``. A move changes the load of its source and
-    target servers only, so :meth:`apply` recounts just those two columns.
+    Candidate overload counts are not cached: :meth:`candidate_count` counts
+    one move when the climb asks whether it is feasible.
     """
 
     def __init__(self, inst: Instance, samples: SampleSet, params: SaaParams, start: SearchState):
@@ -112,38 +107,28 @@ class _Workspace:
         self.assignment = start.placement.array()
         self.allowed = allowed_overloads(params)
         self.load = load_matrix(inst, samples, self.assignment)
+        self.load_max = self.load.max(axis=1)
         self.counts = start.profile.overload_count.copy()
-        K, S = inst.total_components, inst.num_servers
-        self.rows = np.arange(K)
+        self.rows = np.arange(inst.total_components)
         self.e_rows = inst.dist_server_device[:, inst.component_device].T
         # Padded sibling slots point at k itself; they weigh 0 in both sums.
         self.sib_on = (inst.sibling_index != self.rows[:, None]).astype(np.float64)
-        self.block_rows = max(1, COUNT_BLOCK_BYTES // (8 * samples.theta))
         # rate_max[k, s] bounds every scenario's rate * cycles of k on s.
         self.rate_max = samples.cycles.max(axis=1)[:, None] * inst.cost_rates[None, :]
-        self.cand_counts = np.empty((K, S), dtype=np.int64)
-        for s in range(S):
-            self._count_column(s)
 
-    def _count_column(self, s: int) -> None:
-        """Recount ``cand_counts[:, s]`` from server s's load.
+    def candidate_count(self, k: int, s: int) -> int:
+        """The overload count server s would have if it also hosted component k.
 
-        A row whose bound ``rate_max + max(load)`` stays within capacity
-        counts 0 without a scan: float rounding is monotone, so no scenario's
-        ``rate * cycles + load`` can exceed that bound. The other rows are
-        counted by row blocks.
+        When the bound ``rate_max + max(load)`` stays within capacity the count
+        is 0 without a scan: float rounding is monotone, so no scenario's
+        ``rate * cycles + load`` can exceed that bound.
         """
-        cyc = self.samples.cycles
-        rate = self.inst.cost_rates[s]
         cap = self.inst.capacities[s]
-        load = self.load[s]
-        self.cand_counts[:, s] = 0
-        rows = np.flatnonzero(self.rate_max[:, s] + load.max() > cap)
-        for lo in range(0, len(rows), self.block_rows):
-            block = rows[lo : lo + self.block_rows]
-            cand = rate * cyc[block]
-            cand += load
-            self.cand_counts[block, s] = np.count_nonzero(cand > cap, axis=1)
+        if self.rate_max[k, s] + self.load_max[s] <= cap:
+            return 0
+        cand = self.inst.cost_rates[s] * self.samples.cycles[k]
+        cand += self.load[s]
+        return int(np.count_nonzero(cand > cap))
 
     def apply(self, k: int, target: int) -> SearchState:
         """Move component k to ``target``; the new current state is evaluated
@@ -157,8 +142,8 @@ class _Workspace:
                 self.load[s] = inst.cost_rates[s] * self.samples.cycles[members].sum(axis=0)
             else:
                 self.load[s] = 0.0
+            self.load_max[s] = self.load[s].max()
             self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
-            self._count_column(s)
         pl = Placement(tuple(self.assignment.tolist()))
         cost, feat = measure(inst, pl)
         self.state = SearchState(
@@ -186,10 +171,7 @@ class _Workspace:
         pair_dist = (l_sib * self.sib_on[:, :, None]).sum(axis=1)
         com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
         f2_new = feat.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
-
-        feasible = self.cand_counts <= self.allowed
-        feasible[rows, a] = False
-        return _MoveTables(off_new, com_new, f1_new, f2_new, feasible)
+        return _MoveTables(off_new, com_new, f1_new, f2_new)
 
 
 def hill_climb(
@@ -232,11 +214,18 @@ def hill_climb(
         tables = ws.move_tables()
         neighbors_evaluated += K * (S - 1)
         cand = value(tables.offload + tables.communication, tables.dist_off, tables.dist_com)
-        cand = np.where(tables.feasible, cand, np.inf)
-        flat = int(np.argmin(cand))
-        if not cand.flat[flat] < current:
+        cand[ws.rows, ws.assignment] = np.inf
+        # Feasibility is counted in value order, so only the moves up to the
+        # first feasible one are counted; the pick is the first-in-scan-order
+        # minimum over the feasible moves, as a masked argmin would give.
+        while True:
+            k, s = divmod(int(np.argmin(cand)), S)
+            if not cand[k, s] < current or ws.candidate_count(k, s) <= ws.allowed:
+                break
+            cand[k, s] = np.inf
+        if not cand[k, s] < current:
             break
-        accepted = ws.apply(*divmod(flat, S))
+        accepted = ws.apply(k, s)
         accepted_value = float(
             value(accepted.eval.total, accepted.features.dist_off, accepted.features.dist_com)
         )

@@ -333,6 +333,15 @@ def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys)
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null", '"x"'], ids=["number", "null", "string"])
+def test_non_object_samples_file_exits_2(tmp_path, instance_file, text, capsys):
+    path = tmp_path / "samples.json"
+    path.write_text(text)
+    rc = main(["solve", *common_flags(instance_file), "--samples", str(path)])
+    assert rc == 2
+    assert "sample file must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
 def test_bad_thread_count_exits_2(tmp_path, monkeypatch, value, capsys):
     config = {

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dtplace import (
     ConfigurationError,
@@ -29,7 +29,6 @@ from dtplace import (
     random_feasible_state,
     stage_search,
 )
-from dtplace import search
 from dtplace.saa import load_matrix
 from dtplace.search import _Workspace
 
@@ -91,16 +90,34 @@ def reference_climb(inst, samples, params, start, model=None):
         states.append(moves[0])
 
 
+def candidate_counts(ws):
+    """(K, S) table of the workspace's on-demand candidate counts."""
+    K, S = ws.inst.total_components, ws.inst.num_servers
+    return np.array([[ws.candidate_count(k, s) for s in range(S)] for k in range(K)], dtype=np.int64)
+
+
+def feasible_table(ws):
+    """(K, S) feasibility of every move by the workspace's candidate counts;
+    False on each component's current server, which is not a move."""
+    feasible = candidate_counts(ws) <= ws.allowed
+    feasible[ws.rows, ws.assignment] = False
+    return feasible
+
+
+def screened_values(tables, model=None):
+    """The climb's screened value of every move: cost, or ``model``'s prediction."""
+    if model is None:
+        return tables.offload + tables.communication
+    return model.predict_pair(tables.dist_off, tables.dist_com)
+
+
 def assert_stopped_by_scan(inst, samples, params, state, model=None):
     """The climb that ended at ``state`` stopped because its screened move
     values showed no improvement, not because a screened improvement failed
     the from-scratch re-check."""
-    tables = _Workspace(inst, samples, params, state).move_tables()
-    if model is None:
-        screened = tables.offload + tables.communication
-    else:
-        screened = model.predict_pair(tables.dist_off, tables.dist_com)
-    assert not np.where(tables.feasible, screened, np.inf).min() < value(state, model)
+    ws = _Workspace(inst, samples, params, state)
+    screened = screened_values(ws.move_tables(), model)
+    assert not np.where(feasible_table(ws), screened, np.inf).min() < value(state, model)
 
 
 def workspace(inst, samples, params, assignment):
@@ -121,7 +138,7 @@ def test_neighbors_counts():
     samples = constant_samples(inst, [5e6], theta=10)
     moves = list(scratch_moves(inst, samples, params, Placement(servers=(0,))))
     assert [(k, s, feasible) for k, s, _, feasible in moves] == [(0, 1, True)]
-    assert np.argwhere(workspace(inst, samples, params, [0]).move_tables().feasible).tolist() == [[0, 1]]
+    assert np.argwhere(feasible_table(workspace(inst, samples, params, [0]))).tolist() == [[0, 1]]
 
     single = build_instance(
         servers=[(0, 0, 1.0, 1e9)],
@@ -130,7 +147,7 @@ def test_neighbors_counts():
     )
     single_samples = constant_samples(single, [5e6], 10)
     assert list(scratch_moves(single, single_samples, params, Placement(servers=(0,)))) == []
-    assert not workspace(single, single_samples, params, [0]).move_tables().feasible.any()
+    assert not feasible_table(workspace(single, single_samples, params, [0])).any()
     state = make_state(single, single_samples, params, Placement(servers=(0,)))
     _, traj, stats = hill_climb(single, single_samples, params, state)
     assert len(traj.points) == stats.states_visited == 1
@@ -140,7 +157,7 @@ def test_neighbors_are_in_lexicographic_order_and_feasible():
     # The move tables mark feasible exactly the moves the scratch scan keeps.
     inst, params, samples = seeded_setup(3)
     state = random_feasible_state(inst, samples, params, 1)
-    feasible = _Workspace(inst, samples, params, state).move_tables().feasible
+    feasible = feasible_table(_Workspace(inst, samples, params, state))
     scratch = [(k, s) for k, s, _, ok in scratch_moves(inst, samples, params, state.placement) if ok]
     assert np.argwhere(feasible).tolist() == [list(move) for move in scratch]
 
@@ -169,9 +186,10 @@ def test_neighbor_delta_caches_match_scratch_recompute():
         state = random_feasible_state(inst, samples, params, seed)
         ws = _Workspace(inst, samples, params, state)
         tables = ws.move_tables()
+        table_feasible = feasible_table(ws)
         for k, s, cand, feasible in scratch_moves(inst, samples, params, state.placement):
-            assert tables.feasible[k, s] == feasible
-            assert ws.cand_counts[k, s] == cand.profile.overload_count[s]
+            assert table_feasible[k, s] == feasible
+            assert ws.candidate_count(k, s) == cand.profile.overload_count[s]
             assert tables.offload[k, s] == pytest.approx(cand.eval.offload, rel=1e-9)
             assert tables.communication[k, s] == pytest.approx(cand.eval.communication, rel=1e-9, abs=1e-9)
             assert tables.dist_off[k, s] == pytest.approx(cand.features.dist_off, rel=1e-9)
@@ -366,15 +384,18 @@ def check_workspace(inst, samples, params, assignment, moves):
         assert np.array_equal(ws.state.profile.overload_count, scratch.profile.overload_count)
         load = load_matrix(inst, samples, ws.assignment)
         assert np.array_equal(ws.load, load)
+        assert np.array_equal(ws.load_max, load.max(axis=1))
         scratch_cand = np.stack(
             [
                 ((load + inst.cost_rates[:, None] * samples.cycles[k]) > inst.capacities[:, None]).sum(axis=1)
                 for k in range(K)
             ]
         )
-        assert np.array_equal(ws.cand_counts, scratch_cand)
+        counts = candidate_counts(ws)
+        assert np.array_equal(counts, scratch_cand)
 
         tables = ws.move_tables()
+        feasible = feasible_table(ws)
         ref, ref_counts, ref_feasible = reference_tables(ws)
         for name in ("offload", "dist_off", "dist_com"):
             assert np.array_equal(getattr(tables, name), ref[name]), name
@@ -382,8 +403,8 @@ def check_workspace(inst, samples, params, assignment, moves):
         # matvec, so only the last bits may differ.
         scale = max(1.0, abs(ws.state.eval.communication), float(np.abs(ref["communication"]).max()))
         np.testing.assert_allclose(tables.communication, ref["communication"], rtol=0, atol=1e-12 * scale)
-        assert np.array_equal(ws.cand_counts, ref_counts)
-        assert np.array_equal(tables.feasible, ref_feasible)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(feasible, ref_feasible)
 
         budget = allowed_overloads(params)
         for k in range(K):
@@ -396,9 +417,9 @@ def check_workspace(inst, samples, params, assignment, moves):
                 pl = Placement(tuple(servers))
                 cost, feat = evaluate(inst, pl), features(inst, pl)
                 profile = overload_profile(inst, samples, pl, params)
-                assert ws.cand_counts[k, s] == profile.overload_count[s]
-                assert tables.feasible[k, s] == (profile.overload_count[s] <= budget)
-                if not tables.feasible[k, s]:
+                assert ws.candidate_count(k, s) == profile.overload_count[s]
+                assert feasible[k, s] == (profile.overload_count[s] <= budget)
+                if not feasible[k, s]:
                     continue
                 assert tables.offload[k, s] == pytest.approx(cost.offload, rel=1e-9)
                 assert tables.communication[k, s] == pytest.approx(cost.communication, rel=1e-9, abs=1e-9)
@@ -406,9 +427,11 @@ def check_workspace(inst, samples, params, assignment, moves):
                 assert tables.dist_com[k, s] == pytest.approx(feat.dist_com, rel=1e-9, abs=1e-9)
 
 
-def random_instance(rng, num_servers, sizes, integral):
+def random_instance(rng, num_servers, sizes, integral, twins=False):
     """Instance with the given device sizes; ``integral`` draws small whole
-    numbers for rates, capacities and cycles so loads often equal capacity."""
+    numbers for rates, capacities and cycles so loads often equal capacity.
+    With ``twins`` every device appears twice, at one position with the same
+    components, so moves of co-located twins tie on every value."""
     servers = []
     for _ in range(num_servers):
         x, y = rng.uniform(0, 100, size=2)
@@ -424,7 +447,7 @@ def random_instance(rng, num_servers, sizes, integral):
         g += g.T
         comps = [(rng.uniform(1, 5), rng.uniform(100, 500), tuple(g[c])) for c in range(n)]
         x, y = rng.uniform(0, 100, size=2)
-        devices.append((x, y, comps))
+        devices.extend([(x, y, comps)] * (2 if twins else 1))
     return build_instance(servers=servers, devices=devices, unit_cost=rng.uniform(0.1, 1.0))
 
 
@@ -456,15 +479,15 @@ def workspace_cases(draw):
     return inst, samples, params, assignment, moves
 
 
-def climb_case(seed, num_servers, sizes, theta, integral, epsilon):
+def climb_case(seed, num_servers, sizes, theta, integral, epsilon, twins=False):
     rng = np.random.default_rng(seed)
-    inst = random_instance(rng, num_servers, sizes, integral)
+    inst = random_instance(rng, num_servers, sizes, integral, twins)
     samples = random_samples(rng, inst, theta, integral)
     return inst, samples, SaaParams(alpha=0.9, epsilon=epsilon, theta=theta), seed
 
 
 @st.composite
-def climb_cases(draw):
+def climb_cases(draw, twins=st.just(False)):
     return climb_case(
         seed=draw(st.integers(0, 2**32 - 1)),
         num_servers=draw(st.integers(1, 4)),
@@ -472,6 +495,7 @@ def climb_cases(draw):
         theta=draw(st.integers(1, 30)),
         integral=draw(st.booleans()),
         epsilon=draw(st.sampled_from([0.05, 0.25, 0.5])),
+        twins=draw(twins),
     )
 
 
@@ -514,11 +538,106 @@ def test_hill_climb_matches_reference_climb_step_for_step(case):
     assert_stopped_by_scan(inst, samples, params, visited[-1], model)
 
 
-@pytest.mark.parametrize("block_bytes", [search.COUNT_BLOCK_BYTES, 1, 1000], ids=["default", "row", "few-rows"])
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def assert_walk_takes_masked_argmin(inst, samples, params, visited, model=None):
+    """Each step of a climb took the move a masked argmin picks: the first in
+    (k, s) order of the smallest screened value among the moves feasible from
+    scratch. The climb stopped where that value does not improve."""
+    S = inst.num_servers
+    for state, step in zip(visited, visited[1:] + [None]):
+        screened = screened_values(_Workspace(inst, samples, params, state).move_tables(), model)
+        feasible = np.zeros(screened.shape, dtype=bool)
+        for k, s, _, ok in scratch_moves(inst, samples, params, state.placement):
+            feasible[k, s] = ok
+        masked = np.where(feasible, screened, np.inf)
+        flat = int(np.argmin(masked))
+        if step is None:
+            assert not masked.flat[flat] < value(state, model)
+            return
+        assert masked.flat[flat] < value(state, model)
+        k, s = divmod(flat, S)
+        servers = list(state.placement.servers)
+        servers[k] = s
+        assert step.placement.servers == tuple(servers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=climb_cases(twins=st.booleans()))
+def test_climb_steps_equal_masked_argmin_over_scratch_feasibility(case):
+    # Twin devices make screened ties whose first move in scan order can be
+    # infeasible, so the climb must pass over it to the tied twin.
+    inst, samples, params, seed = case
+    try:
+        start = random_feasible_state(inst, samples, params, seed, max_tries=50)
+    except NoFeasibleState:
+        assume(False)
+    visited = []
+    hill_climb(inst, samples, params, start, on_visit=visited.append)
+    assert_walk_takes_masked_argmin(inst, samples, params, visited)
+    model = fit_value_model([Trajectory((s.features,), s.eval.total) for s in visited])
+    visited = []
+    hill_climb(inst, samples, params, start, objective=model, on_visit=visited.append)
+    assert_walk_takes_masked_argmin(inst, samples, params, visited, model)
+
+
+def overload_walk_case(capacities):
+    """One component on far server 0; servers 1, 2 and 3 are 1, 10 and 200
+    away from its device, with the given capacities. The component alone
+    (5 cycles at rate 1 in every scenario) overloads a server of capacity 4
+    in all 10 scenarios, over the budget of 1."""
+    inst = build_instance(
+        servers=[(100, 0, 1.0, 1e9)] + [(5 + d, 0, 1.0, cap) for d, cap in zip((1, 10, 200), capacities)],
+        devices=[(5, 0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5.0], theta=10)
+    return inst, samples, params, make_state(inst, samples, params, Placement(servers=(0,)))
+
+
+def test_climb_passes_an_overloading_best_move_for_the_next_best():
+    inst, samples, params, start = overload_walk_case([4.0, 1e9, 1e9])
+    ws = _Workspace(inst, samples, params, start)
+    assert ws.candidate_count(0, 1) == 10 and ws.candidate_count(0, 2) == 0
+    visited = []
+    _, _, stats = hill_climb(inst, samples, params, start, on_visit=visited.append)
+    reference = reference_climb(inst, samples, params, start)
+    assert [s.placement.servers for s in visited] == [s.placement.servers for s in reference] == [(0,), (2,)]
+    assert stats.states_visited == 2
+
+
+def test_climb_takes_the_feasible_move_of_a_screened_tie():
+    # Twin devices on far server 0; moving either component to server 1
+    # screens to the same cost. Component 0 (5 cycles) overloads server 1 and
+    # component 1 (3 cycles) fits, so the climb takes (1, 1), not (0, 1).
+    inst = build_instance(
+        servers=[(100, 0, 1.0, 1e9), (6, 0, 1.0, 4.0)],
+        devices=[(5, 0, [(5.0, 200.0, (0.0,))]), (5, 0, [(3.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5.0, 3.0], theta=10)
+    start = make_state(inst, samples, params, Placement(servers=(0, 0)))
+    ws = _Workspace(inst, samples, params, start)
+    cost = screened_values(ws.move_tables())
+    assert cost[0, 1] == cost[1, 1] < start.eval.total
+    visited = []
+    hill_climb(inst, samples, params, start, on_visit=visited.append)
+    assert [s.placement.servers for s in visited] == [(0, 0), (0, 1)]
+    assert_walk_takes_masked_argmin(inst, samples, params, visited)
+
+
+def test_climb_stops_at_start_when_every_improving_move_overloads():
+    # Servers 1 and 2 would improve but overload; server 3 fits but is worse.
+    inst, samples, params, start = overload_walk_case([4.0, 4.0, 1e9])
+    assert [(k, s) for k, s, _, ok in scratch_moves(inst, samples, params, start.placement) if ok] == [(0, 3)]
+    endpoint, traj, stats = hill_climb(inst, samples, params, start)
+    assert endpoint is start
+    assert stats.states_visited == len(traj.points) == 1
+
+
+@settings(max_examples=100, deadline=None)
 @given(case=workspace_cases())
-def test_workspace_matches_scratch_after_random_moves(monkeypatch, block_bytes, case):
-    monkeypatch.setattr(search, "COUNT_BLOCK_BYTES", block_bytes)
+def test_workspace_matches_scratch_after_random_moves(case):
     check_workspace(*case)
 
 
@@ -540,8 +659,6 @@ def test_workspace_edge_cases_match_scratch(num_servers, sizes, theta):
     K = inst.total_components
     assignment = rng.integers(0, num_servers, size=K)
     moves = [(int(rng.integers(0, K)), int(rng.integers(0, num_servers))) for _ in range(4)]
-    if theta == 1850:
-        assert workspace(inst, samples, params, assignment).block_rows < K
     check_workspace(inst, samples, params, assignment, moves)
 
 
@@ -556,10 +673,10 @@ def test_candidate_count_at_exact_capacity():
     params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
     samples = constant_samples(inst, [2.0, 3.0], theta=10)
     ws = workspace(inst, samples, params, [0, 1])
-    assert ws.cand_counts[1, 0] == 0
-    assert ws.cand_counts[0, 1] == 10
-    tables = ws.move_tables()
-    assert tables.feasible[1, 0] and not tables.feasible[0, 1]
+    assert ws.candidate_count(1, 0) == 0
+    assert ws.candidate_count(0, 1) == 10
+    feasible = feasible_table(ws)
+    assert feasible[1, 0] and not feasible[0, 1]
     check_workspace(inst, samples, params, [0, 1], [(1, 0), (0, 1), (1, 1)])
 
 
@@ -584,8 +701,8 @@ def test_count_screen_boundary(one_ulp_below, overloads):
     params = SaaParams(alpha=0.5, epsilon=0.4, theta=3)
     samples = SampleSet(cycles=cyc)
     ws = workspace(inst, samples, params, [0, 1])
-    assert ws.rate_max[1, 0] + ws.load[0].max() == bound
-    assert ws.cand_counts[1, 0] == overloads
+    assert ws.rate_max[1, 0] + ws.load_max[0] == bound
+    assert ws.candidate_count(1, 0) == overloads
     check_workspace(inst, samples, params, [0, 1], [(1, 0), (1, 1), (0, 1)])
 
 
