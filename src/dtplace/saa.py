@@ -8,6 +8,7 @@ integer budget floor(epsilon * theta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,12 +60,13 @@ class SampleSet:
         return self.cycles.shape[1]
 
 
+@functools.cache
 def allowed_overloads(params: SaaParams) -> int:
     """Per-server budget of overloaded scenarios: floor(epsilon * theta).
 
     Epsilon is read as the decimal it was written as, so the floor is exact
     where the binary product is not: 0.3 * 10 gives 3, and 0.00499999999995
-    * 1000 gives 4.
+    * 1000 gives 4. Computed once per ``params``.
     """
     return math.floor(Fraction(repr(float(params.epsilon))) * params.theta)
 
@@ -115,13 +117,17 @@ class OverloadProfile:
         return self.overload_count / self.theta
 
 
+def server_load(inst: Instance, samples: SampleSet, members: np.ndarray, s: int) -> np.ndarray:
+    """(theta,) computation cost of server s hosting the components in the
+    boolean mask ``members``; an empty selection sums to exact zeros."""
+    return inst.cost_rates[s] * samples.cycles[members].sum(axis=0)
+
+
 def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> np.ndarray:
-    """(S, theta) computation cost per server per scenario."""
-    load = np.zeros((inst.num_servers, samples.theta))
+    """(S, theta) computation cost per server per scenario: one :func:`server_load` row each."""
+    load = np.empty((inst.num_servers, samples.theta))
     for s in range(inst.num_servers):
-        members = assignment == s
-        if members.any():
-            load[s] = inst.cost_rates[s] * samples.cycles[members].sum(axis=0)
+        load[s] = server_load(inst, samples, assignment == s, s)
     return load
 
 

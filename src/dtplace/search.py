@@ -27,6 +27,7 @@ from .saa import (
     is_feasible,
     load_matrix,
     overload_profile,
+    server_load,
 )
 from .seeding import stream
 
@@ -83,19 +84,10 @@ def make_state(inst: Instance, samples: SampleSet, params: SaaParams, pl: Placem
     )
 
 
-@dataclass
-class _MoveTables:
-    """Per-candidate values for every (component, target server) move."""
-
-    offload: np.ndarray  # (K, S) new offload cost
-    communication: np.ndarray  # (K, S) new communication cost
-    dist_off: np.ndarray  # (K, S)
-    dist_com: np.ndarray  # (K, S)
-
-
 class _Workspace:
     """Mutable support structure for one climb, holding its current state.
 
+    :meth:`move_values` builds the one (K, S) value table a step reads.
     Candidate overload counts are not cached: :meth:`candidate_count` counts
     one move when the climb asks whether it is feasible.
     """
@@ -137,11 +129,7 @@ class _Workspace:
         source = int(self.assignment[k])
         self.assignment[k] = target
         for s in (source, target):
-            members = self.assignment == s
-            if members.any():
-                self.load[s] = inst.cost_rates[s] * self.samples.cycles[members].sum(axis=0)
-            else:
-                self.load[s] = 0.0
+            self.load[s] = server_load(inst, self.samples, self.assignment == s, s)
             self.load_max[s] = self.load[s].max()
             self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
         pl = Placement(tuple(self.assignment.tolist()))
@@ -154,24 +142,26 @@ class _Workspace:
         )
         return self.state
 
-    def move_tables(self) -> _MoveTables:
+    def move_values(self, objective: QuadraticModel | None) -> np.ndarray:
+        """(K, S) value of every one-component move, broadcast from the
+        current state: the placement cost, or, given a value model, its
+        prediction from the moved distance features."""
         inst = self.inst
-        r = inst.unit_transport_cost
         a = self.assignment
         rows = self.rows
-        cost, feat = self.state.eval, self.state.features
-
         shift = self.e_rows - self.e_rows[rows, a][:, None]
-        off_new = cost.offload + (r * inst.component_offload_kb)[:, None] * shift
-        f1_new = feat.dist_off + shift
-
         # (K, W, S): distance from every server to each sibling's server.
         l_sib = inst.dist_server_server.T[a[inst.sibling_index]]
-        pair_cost = (l_sib * inst.sibling_exchange_kb[:, :, None]).sum(axis=1)
+        if objective is None:
+            r, cost = inst.unit_transport_cost, self.state.eval
+            pair_cost = (l_sib * inst.sibling_exchange_kb[:, :, None]).sum(axis=1)
+            off_new = cost.offload + (r * inst.component_offload_kb)[:, None] * shift
+            com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
+            return off_new + com_new
+        feat = self.state.features
         pair_dist = (l_sib * self.sib_on[:, :, None]).sum(axis=1)
-        com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
         f2_new = feat.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
-        return _MoveTables(off_new, com_new, f1_new, f2_new)
+        return objective.predict_pair(feat.dist_off + shift, f2_new)
 
 
 def hill_climb(
@@ -190,13 +180,18 @@ def hill_climb(
     step moves to the feasible neighbor with the strictly smallest value,
     first-in-scan-order on ties, and stops when no neighbor strictly improves
     (or after ``max_steps`` accepted moves). The start's caches are trusted
-    as given; every accepted state is evaluated from scratch. The trajectory
+    as given; every accepted state is evaluated from scratch, and the climb
+    stops at the previous state when that state does not improve the value
+    or has its target server over budget (the screened count's sum can round
+    across capacity where the from-scratch sum does not). The trajectory
     records the features of every visited state; its endpoint value is the
     placement cost of the final state regardless of the objective used.
     """
 
-    def value(total, dist_off, dist_com):
-        return total if objective is None else objective.predict_pair(dist_off, dist_com)
+    def value(state):
+        if objective is None:
+            return state.eval.total
+        return float(objective.predict_pair(state.features.dist_off, state.features.dist_com))
 
     check_theta(samples, params)
     if not is_feasible(start.profile, params):
@@ -204,16 +199,15 @@ def hill_climb(
     K, S = inst.total_components, inst.num_servers
     ws = _Workspace(inst, samples, params, start)
     state = start
-    current = float(value(state.eval.total, state.features.dist_off, state.features.dist_com))
+    current = value(state)
     points = [state.features]
     if on_visit is not None:
         on_visit(state)
     neighbors_evaluated = 0
     steps = 0
     while max_steps is None or steps < max_steps:
-        tables = ws.move_tables()
+        cand = ws.move_values(objective)
         neighbors_evaluated += K * (S - 1)
-        cand = value(tables.offload + tables.communication, tables.dist_off, tables.dist_com)
         cand[ws.rows, ws.assignment] = np.inf
         # Feasibility is counted in value order, so only the moves up to the
         # first feasible one are counted; the pick is the first-in-scan-order
@@ -226,12 +220,11 @@ def hill_climb(
         if not cand[k, s] < current:
             break
         accepted = ws.apply(k, s)
-        accepted_value = float(
-            value(accepted.eval.total, accepted.features.dist_off, accepted.features.dist_com)
-        )
-        if not accepted_value < current:
-            # Screened delta said "improves" but the from-scratch value does
-            # not; treat as a tie and stop rather than cycle.
+        accepted_value = value(accepted)
+        if not accepted_value < current or accepted.profile.overload_count[s] > ws.allowed:
+            # The screened value or count disagrees with the from-scratch
+            # state; stop rather than cycle or leave the budget. With
+            # positive cycles the source server's count cannot rise.
             break
         state = accepted
         current = accepted_value

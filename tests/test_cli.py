@@ -7,7 +7,7 @@ import pytest
 from dtplace import instance_to_dict
 from dtplace.cli import main
 
-from conftest import build_instance
+from conftest import build_instance, rounding_boundary_case
 
 
 @pytest.fixture
@@ -261,6 +261,25 @@ def test_samples_replay_equals_original_run(tmp_path, capsys):
             assert capsys.readouterr().out == drawn, command
         assert main([*command, *risk, "--theta", "60", "--samples", str(samples)]) == 2
         assert "--theta 60 disagrees with the 50 scenarios" in capsys.readouterr().err
+
+
+def test_solve_stays_within_budget_at_a_rounding_boundary(tmp_path):
+    from dtplace import is_feasible, overload_profile, placement_from_triples
+    from dtplace.cli import samples_to_dict
+
+    inst, samples, params = rounding_boundary_case()
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"instance": instance_to_dict(inst)}))
+    samples_path = tmp_path / "samples.json"
+    samples_path.write_text(json.dumps(samples_to_dict(samples, seed=0)))
+    out = tmp_path / "solve.json"
+    rc = main(
+        ["solve", "--instance", str(path), "--seed", "1", "--alpha", "0.5", "--epsilon", "0.5",
+         "--samples", str(samples_path), "--out", str(out)]
+    )
+    assert rc == 0
+    placement = placement_from_triples(inst, json.loads(out.read_text())["placement"])
+    assert is_feasible(overload_profile(inst, samples, placement, params), params)
 
 
 def test_samples_file_roundtrip(tmp_path, instance_file):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtplace import (
     ConfigurationError,
@@ -11,6 +12,7 @@ from dtplace import (
     OverloadProfile,
     Placement,
     SaaParams,
+    SampleSet,
     allowed_overloads,
     approx_success_prob,
     baseline_nearest,
@@ -20,9 +22,37 @@ from dtplace import (
     overload_profile,
     validate_p1_feasibility,
 )
-from dtplace.saa import load_matrix
+from dtplace.saa import load_matrix, server_load
 
 from conftest import build_instance, constant_samples
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_components=st.integers(1, 5),
+    extra_servers=st.integers(1, 4),
+    theta=st.integers(1, 20),
+)
+def test_load_matrix_matches_the_per_server_formula(seed, num_components, extra_servers, theta):
+    # More servers than components, so empty and single-member servers occur.
+    rng = np.random.default_rng(seed)
+    K, S = num_components, num_components + extra_servers
+    inst = build_instance(
+        servers=[(0, 0, rng.uniform(0.5, 10.0), 1e9) for _ in range(S)],
+        devices=[(0, 0, [(1.0, 100.0, (0.0,))]) for _ in range(K)],
+        unit_cost=0.5,
+    )
+    samples = SampleSet(cycles=rng.uniform(0.1, 10.0, size=(K, theta)))
+    assignment = rng.integers(0, S, size=K)
+    expected = np.zeros((S, theta))
+    for s in range(S):
+        members = assignment == s
+        if members.any():
+            expected[s] = inst.cost_rates[s] * samples.cycles[members].sum(axis=0)
+    assert np.array_equal(load_matrix(inst, samples, assignment), expected)
+    for s in range(S):
+        assert np.array_equal(server_load(inst, samples, assignment == s, s), expected[s])
 
 
 def test_params_validation():

@@ -9,6 +9,7 @@ from dtplace import (
     GenConfig,
     NoFeasibleState,
     Placement,
+    QuadraticModel,
     SaaParams,
     SampleSet,
     StageConfig,
@@ -24,6 +25,7 @@ from dtplace import (
     fit_value_model,
     generate_instance,
     hill_climb,
+    is_feasible,
     make_state,
     overload_profile,
     random_feasible_state,
@@ -32,7 +34,15 @@ from dtplace import (
 from dtplace.saa import load_matrix
 from dtplace.search import _Workspace
 
-from conftest import build_instance, constant_samples
+from conftest import build_instance, constant_samples, greedy_fallback_case, rounding_boundary_case
+
+# A fixed value model with nonzero f1, f2, squared and cross terms; every
+# term is positive on distance features, so predictions do not cancel.
+MODEL = QuadraticModel(
+    coefficients=np.array([1.0, 2.0, 3.0, 0.5, 0.25, 0.125]),
+    feature_mean=np.zeros(2),
+    feature_sd=np.array([100.0, 100.0]),
+)
 
 
 def seeded_setup(seed, servers=3, devices=2, comp=(1, 2), theta=60):
@@ -104,19 +114,12 @@ def feasible_table(ws):
     return feasible
 
 
-def screened_values(tables, model=None):
-    """The climb's screened value of every move: cost, or ``model``'s prediction."""
-    if model is None:
-        return tables.offload + tables.communication
-    return model.predict_pair(tables.dist_off, tables.dist_com)
-
-
 def assert_stopped_by_scan(inst, samples, params, state, model=None):
     """The climb that ended at ``state`` stopped because its screened move
     values showed no improvement, not because a screened improvement failed
     the from-scratch re-check."""
     ws = _Workspace(inst, samples, params, state)
-    screened = screened_values(ws.move_tables(), model)
+    screened = ws.move_values(model)
     assert not np.where(feasible_table(ws), screened, np.inf).min() < value(state, model)
 
 
@@ -154,7 +157,7 @@ def test_neighbors_counts():
 
 
 def test_neighbors_are_in_lexicographic_order_and_feasible():
-    # The move tables mark feasible exactly the moves the scratch scan keeps.
+    # The workspace's counts mark feasible exactly the moves the scratch scan keeps.
     inst, params, samples = seeded_setup(3)
     state = random_feasible_state(inst, samples, params, 1)
     feasible = feasible_table(_Workspace(inst, samples, params, state))
@@ -185,15 +188,13 @@ def test_neighbor_delta_caches_match_scratch_recompute():
         inst, params, samples = seeded_setup(seed)
         state = random_feasible_state(inst, samples, params, seed)
         ws = _Workspace(inst, samples, params, state)
-        tables = ws.move_tables()
+        cost, predicted = ws.move_values(None), ws.move_values(MODEL)
         table_feasible = feasible_table(ws)
         for k, s, cand, feasible in scratch_moves(inst, samples, params, state.placement):
             assert table_feasible[k, s] == feasible
             assert ws.candidate_count(k, s) == cand.profile.overload_count[s]
-            assert tables.offload[k, s] == pytest.approx(cand.eval.offload, rel=1e-9)
-            assert tables.communication[k, s] == pytest.approx(cand.eval.communication, rel=1e-9, abs=1e-9)
-            assert tables.dist_off[k, s] == pytest.approx(cand.features.dist_off, rel=1e-9)
-            assert tables.dist_com[k, s] == pytest.approx(cand.features.dist_com, rel=1e-9, abs=1e-9)
+            assert cost[k, s] == pytest.approx(cand.eval.total, rel=1e-9, abs=1e-9)
+            assert predicted[k, s] == pytest.approx(value(cand, MODEL), rel=1e-9, abs=1e-9)
             source = int(ws.assignment[k])
             snap = ws.apply(k, s)
             ws.apply(k, source)
@@ -296,14 +297,7 @@ def test_random_feasible_state_accepts_first_draw_when_capacity_abundant():
 
 
 def test_random_feasible_state_uses_greedy_fallback():
-    # one tiny server that any component overloads, one huge server; uniform
-    # draws essentially never fit, the load-aware greedy does
-    servers = [(0, 0, 1.0, 4.0), (10, 0, 1.0, 1e12)]
-    comps = [(5.0, 200.0, (0.0,))]
-    devices = [(5, 0, comps) for _ in range(12)]
-    inst = build_instance(servers=servers, devices=devices, unit_cost=0.5)
-    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
-    samples = constant_samples(inst, [5.0] * 12, theta=10)
+    inst, samples, params = greedy_fallback_case()
     state = random_feasible_state(inst, samples, params, 0, max_tries=25)
     assert state.placement.servers == (1,) * 12
 
@@ -334,7 +328,8 @@ def test_every_visited_state_is_feasible():
 
 
 def reference_tables(ws):
-    """Move tables by the one-component-at-a-time formula, from ws's state."""
+    """Per-term move tables by the one-component-at-a-time formula, from
+    ws's state."""
     inst = ws.inst
     K, S = inst.total_components, inst.num_servers
     r = inst.unit_transport_cost
@@ -394,15 +389,15 @@ def check_workspace(inst, samples, params, assignment, moves):
         counts = candidate_counts(ws)
         assert np.array_equal(counts, scratch_cand)
 
-        tables = ws.move_tables()
+        values, predicted = ws.move_values(None), ws.move_values(MODEL)
         feasible = feasible_table(ws)
         ref, ref_counts, ref_feasible = reference_tables(ws)
-        for name in ("offload", "dist_off", "dist_com"):
-            assert np.array_equal(getattr(tables, name), ref[name]), name
+        assert np.array_equal(predicted, MODEL.predict_pair(ref["dist_off"], ref["dist_com"]))
         # Sibling exchange sums run in another order than the reference's
         # matvec, so only the last bits may differ.
-        scale = max(1.0, abs(ws.state.eval.communication), float(np.abs(ref["communication"]).max()))
-        np.testing.assert_allclose(tables.communication, ref["communication"], rtol=0, atol=1e-12 * scale)
+        ref_cost = ref["offload"] + ref["communication"]
+        scale = max(1.0, abs(ws.state.eval.total), float(np.abs(ref_cost).max()))
+        np.testing.assert_allclose(values, ref_cost, rtol=0, atol=1e-12 * scale)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(feasible, ref_feasible)
 
@@ -421,10 +416,10 @@ def check_workspace(inst, samples, params, assignment, moves):
                 assert feasible[k, s] == (profile.overload_count[s] <= budget)
                 if not feasible[k, s]:
                     continue
-                assert tables.offload[k, s] == pytest.approx(cost.offload, rel=1e-9)
-                assert tables.communication[k, s] == pytest.approx(cost.communication, rel=1e-9, abs=1e-9)
-                assert tables.dist_off[k, s] == pytest.approx(feat.dist_off, rel=1e-9)
-                assert tables.dist_com[k, s] == pytest.approx(feat.dist_com, rel=1e-9, abs=1e-9)
+                assert values[k, s] == pytest.approx(cost.total, rel=1e-9, abs=1e-9)
+                assert predicted[k, s] == pytest.approx(
+                    MODEL.predict_pair(feat.dist_off, feat.dist_com), rel=1e-9, abs=1e-9
+                )
 
 
 def random_instance(rng, num_servers, sizes, integral, twins=False):
@@ -544,7 +539,7 @@ def assert_walk_takes_masked_argmin(inst, samples, params, visited, model=None):
     scratch. The climb stopped where that value does not improve."""
     S = inst.num_servers
     for state, step in zip(visited, visited[1:] + [None]):
-        screened = screened_values(_Workspace(inst, samples, params, state).move_tables(), model)
+        screened = _Workspace(inst, samples, params, state).move_values(model)
         feasible = np.zeros(screened.shape, dtype=bool)
         for k, s, _, ok in scratch_moves(inst, samples, params, state.placement):
             feasible[k, s] = ok
@@ -618,7 +613,7 @@ def test_climb_takes_the_feasible_move_of_a_screened_tie():
     samples = constant_samples(inst, [5.0, 3.0], theta=10)
     start = make_state(inst, samples, params, Placement(servers=(0, 0)))
     ws = _Workspace(inst, samples, params, start)
-    cost = screened_values(ws.move_tables())
+    cost = ws.move_values(None)
     assert cost[0, 1] == cost[1, 1] < start.eval.total
     visited = []
     hill_climb(inst, samples, params, start, on_visit=visited.append)
@@ -704,6 +699,36 @@ def test_count_screen_boundary(one_ulp_below, overloads):
     assert ws.rate_max[1, 0] + ws.load_max[0] == bound
     assert ws.candidate_count(1, 0) == overloads
     check_workspace(inst, samples, params, [0, 1], [(1, 0), (1, 1), (0, 1)])
+
+
+def test_climb_stops_where_a_count_rounds_under_capacity():
+    # From (0, 1) the cheaper move puts component 1 on server 0. Its
+    # candidate count sums fl(r*b) + fl(r*a), exactly capacity, so the climb
+    # tries it; the from-scratch count of (0, 0) is 1, over the budget of 0,
+    # so the climb ends at its start.
+    inst, samples, params = rounding_boundary_case()
+    start = make_state(inst, samples, params, Placement(servers=(0, 1)))
+    assert _Workspace(inst, samples, params, start).candidate_count(1, 0) == 0
+    both = overload_profile(inst, samples, Placement(servers=(0, 0)), params)
+    assert both.overload_count.tolist() == [1, 0]
+    endpoint, traj, stats = hill_climb(inst, samples, params, start)
+    assert endpoint is start
+    assert stats.states_visited == len(traj.points) == 1
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda inst, samples, params: stage_search(inst, samples, params, StageConfig(), 1).best_state,
+        lambda inst, samples, params: baseline_restart_hillclimb(inst, samples, params, 3, 1).best_state,
+    ],
+    ids=["stage", "restart"],
+)
+def test_entry_points_stay_within_budget_at_a_rounding_boundary(run):
+    inst, samples, params = rounding_boundary_case()
+    state = run(inst, samples, params)
+    assert is_feasible(state.profile, params)
+    assert is_feasible(overload_profile(inst, samples, state.placement, params), params)
 
 
 @pytest.mark.parametrize(

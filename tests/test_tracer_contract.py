@@ -6,8 +6,10 @@ algorithm call made directly under ``run_cell_rep``. An algorithm table that
 holds function objects captured at import time would skip the wrappers, so
 this test runs one small cell under the tracer and applies the gate. The
 tracer also splits ``hill_climb`` spans into cost and prediction descents on
-whether the ``objective`` keyword was passed, which the second test checks.
-The benchmark files are imported, never edited.
+whether the ``objective`` keyword was passed, which the second test checks,
+and counts one rejection draw per ``load_matrix`` call made directly by
+``random_feasible_state``, which the third checks. The benchmark files are
+imported, never edited.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from dtplace import (
     draw_samples,
     generate_instance,
     harness,
+    search,
     stage,
 )
+
+from conftest import greedy_fallback_case
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -86,3 +91,12 @@ def test_stage_search_records_cost_and_prediction_climbs(bench):
     (outer,) = [i for i, span in enumerate(spans) if span.name == "stage.stage_search"]
     climbs = {span.name for span in spans if span.parent == outer and "hill_climb" in span.name}
     assert climbs == {"search.hill_climb.cost", "search.hill_climb.predict"}
+
+
+def test_random_feasible_state_counts_one_draw_per_try(bench):
+    tracer, _ = bench
+    inst, samples, params = greedy_fallback_case()
+    with tracer.Tracer() as t:
+        state = search.random_feasible_state(inst, samples, params, 0, max_tries=25)
+    assert state.placement.servers == (1,) * 12  # every draw rejected, then the greedy
+    assert tracer.layer_metrics(t.spans)["search.random_feasible_state.draws"] == 25
