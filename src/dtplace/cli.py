@@ -332,6 +332,11 @@ def main(argv=None) -> int:
     except NoFeasibleState as exc:
         print(f"no feasible placement: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        if exc.filename is None:  # reads fail as ConfigurationError; this is an output path
+            raise
+        print(f"configuration error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

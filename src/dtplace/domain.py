@@ -181,19 +181,16 @@ class GenConfig:
     unit_cost_range: tuple[float, float] = (0.0, 1.0)
 
     def validate(self) -> None:
-        if self.num_servers < 1:
-            raise ConfigurationError("num_servers must be >= 1")
-        if self.num_devices < 1:
-            raise ConfigurationError("num_devices must be >= 1")
+        if self.num_servers < 1 or self.num_devices < 1:
+            raise ConfigurationError("num_servers and num_devices must be >= 1")
         lo, hi = self.components_range
         if lo < 1 or hi < lo:
             raise ConfigurationError(
                 f"components_range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]"
             )
-        if not self.area_side > 0:
-            raise ConfigurationError("area_side must be positive")
-        if not self.cost_rate_sd_frac > 0:
-            raise ConfigurationError("cost_rate_sd_frac must be positive")
+        for name in ("area_side", "cost_rate_sd_frac"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         for name in (
             "cost_rate_base_range",
             "capacity_range",
@@ -203,8 +200,8 @@ class GenConfig:
             "unit_cost_range",
         ):
             a, b = getattr(self, name)
-            if not a < b:
-                raise ConfigurationError(f"{name} must be a non-degenerate range")
+            if not -math.inf < a < b < math.inf:
+                raise ConfigurationError(f"{name} must be a finite, non-degenerate range")
 
 
 def _positive_normal(rng: np.random.Generator, mean: float, sd: float) -> float:

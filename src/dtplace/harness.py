@@ -338,20 +338,17 @@ def write_outputs(rows, convergence_logs, out_dir) -> tuple[Path, Path]:
     out = Path(out_dir)
     sweep_path = out / "sweep.csv"
     conv_path = out / "convergence.csv"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(sweep_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SWEEP_COLUMNS)
-            for row in rows:
-                writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(row))
-        with open(conv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run_id", "t", "rho_t"])
-            for run_id, t, rho in convergence_logs:
-                writer.writerow([run_id, t, _fmt(rho)])
-    except OSError as exc:
-        raise OSError(f"failed writing experiment outputs under {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
+    with open(sweep_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SWEEP_COLUMNS)
+        for row in rows:
+            writer.writerow(_fmt(v) if isinstance(v, float) else v for v in astuple(row))
+    with open(conv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run_id", "t", "rho_t"])
+        for run_id, t, rho in convergence_logs:
+            writer.writerow([run_id, t, _fmt(rho)])
     return sweep_path, conv_path
 
 

@@ -34,31 +34,29 @@ def _subset_feasibility(inst: Instance, samples: SampleSet, budget: int) -> np.n
     """(S, 2^K) table: server s hosting exactly the components in a bitmask
     has at most ``budget`` scenarios with load strictly above capacity.
 
-    A subset's load is its parent's (the subset without its highest
-    component) plus that component's ``m[s] * cycles[k]``, so demands are
-    summed in ascending component order. The low bits come from one table
-    sized by ``LOAD_BLOCK_BYTES``; the high bits are walked depth first,
-    holding at most one such block per high bit at a time. The empty subset
-    is judged like any other, so a server with negative capacity is
+    One table of cycle sums, in the order of :func:`saa.server_load`, serves
+    every server: a subset's sum is its parent's (the subset without its
+    highest component) plus that component's cycles. The low bits come from
+    one table sized by ``LOAD_BLOCK_BYTES``; the high bits are walked depth
+    first, holding at most one such block per high bit at a time. The empty
+    subset is judged like any other, so a server with negative capacity is
     overloaded even when it hosts nothing.
     """
     K, theta = samples.cycles.shape
     low_bits = min(K, max(LOAD_BLOCK_BYTES // (8 * theta), 1).bit_length() - 1)
     n_low = 1 << low_bits
     ok = np.empty((inst.num_servers, 1 << K), dtype=bool)
-    for s in range(inst.num_servers):
-        step = inst.cost_rates[s] * samples.cycles
-        cap = inst.capacities[s]
-        low = np.zeros((n_low, theta))
-        for k in range(low_bits):
-            np.add(low[: 1 << k], step[k], out=low[1 << k : 2 << k])
-        pending = [(0, low)]
-        while pending:
-            high, block = pending.pop()
-            lo = high << low_bits
-            ok[s, lo : lo + n_low] = (block > cap).sum(axis=1) <= budget
-            for b in range(high.bit_length(), K - low_bits):
-                pending.append((high | 1 << b, block + step[low_bits + b]))
+    low = np.zeros((n_low, theta))
+    for k in range(low_bits):
+        np.add(low[: 1 << k], samples.cycles[k], out=low[1 << k : 2 << k])
+    pending = [(0, low)]
+    while pending:
+        high, block = pending.pop()
+        lo = high << low_bits
+        for s, (rate, cap) in enumerate(zip(inst.cost_rates, inst.capacities)):
+            ok[s, lo : lo + n_low] = (rate * block > cap).sum(axis=1) <= budget
+        for b in range(high.bit_length(), K - low_bits):
+            pending.append((high | 1 << b, block + samples.cycles[low_bits + b]))
     return ok
 
 
@@ -146,10 +144,8 @@ def exact_solve(
     if best_index < 0:
         return OracleResult(optimum=None, argmin=None, states_enumerated=total_states)
     placement = Placement(tuple(best_index // S ** (K - 1 - k) % S for k in range(K)))
-    exact_cost = evaluate(inst, placement).total
-    profile = overload_profile(inst, samples, placement, params)
-    if not is_feasible(profile, params):
+    if not is_feasible(overload_profile(inst, samples, placement, params), params):
         raise RuntimeError("enumeration accepted a placement that fails the scratch check")
     return OracleResult(
-        optimum=exact_cost, argmin=placement, states_enumerated=total_states
+        optimum=evaluate(inst, placement).total, argmin=placement, states_enumerated=total_states
     )

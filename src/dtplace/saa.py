@@ -119,8 +119,14 @@ class OverloadProfile:
 
 def server_load(inst: Instance, samples: SampleSet, members: np.ndarray, s: int) -> np.ndarray:
     """(theta,) computation cost of server s hosting the components in the
-    boolean mask ``members``; an empty selection sums to exact zeros."""
-    return inst.cost_rates[s] * samples.cycles[members].sum(axis=0)
+    boolean mask ``members``, in the one order every overload count uses: the
+    members' cycles added one at a time in ascending flat index (exact zeros
+    for none), times the server's rate. ``sum(axis=0)`` adds rows so for
+    theta >= 2, but sums one column pairwise from 8 rows on: theta = 1
+    accumulates."""
+    rows = samples.cycles[members]
+    total = rows.sum(axis=0) if samples.theta > 1 else np.cumsum(np.append(0.0, rows))[-1:]
+    return inst.cost_rates[s] * total
 
 
 def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> np.ndarray:

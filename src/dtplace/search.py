@@ -259,8 +259,7 @@ def random_feasible_state(
     cap = inst.capacities
     for _ in range(max_tries):
         assignment = rng.integers(0, S, size=K)
-        load = load_matrix(inst, samples, assignment)
-        counts = (load > cap[:, None]).sum(axis=1)
+        counts = (load_matrix(inst, samples, assignment) > cap[:, None]).sum(axis=1)
         if (counts <= budget).all():
             return make_state(inst, samples, params, Placement(tuple(int(s) for s in assignment)))
     return _greedy_fill(
@@ -280,8 +279,9 @@ def _greedy_fill(
     Places the components in ``order``, each on the first server, in
     ascending ``rank(k, load)`` with ties by server index, that keeps its
     overload count within budget; ``load`` is the (S, theta) load of the
-    components placed so far. Raises :class:`NoFeasibleState` when some
-    component fits nowhere.
+    components placed so far. Each candidate is counted with
+    :func:`saa.server_load`, as :func:`make_state` counts the result.
+    Raises :class:`NoFeasibleState` when some component fits nowhere.
     """
     check_theta(samples, params)
     budget = allowed_overloads(params)
@@ -290,9 +290,9 @@ def _greedy_fill(
     load = np.zeros((inst.num_servers, samples.theta))
     for k in order:
         for s in np.argsort(rank(k, load), kind="stable"):
-            cand = load[s] + inst.cost_rates[s] * samples.cycles[k]
+            assignment[k] = s
+            cand = server_load(inst, samples, assignment == s, s)
             if (cand > cap[s]).sum() <= budget:
-                assignment[k] = s
                 load[s] = cand
                 break
         else:
@@ -301,8 +301,7 @@ def _greedy_fill(
                 f"({budget} of {samples.theta} scenarios)"
             )
     state = make_state(inst, samples, params, Placement(tuple(int(s) for s in assignment)))
-    # make_state sums each server's loads in ascending k, which can round
-    # differently from the greedy's running sums.
+    # A server left empty is not counted above; a negative capacity overloads it.
     if not (state.profile.overload_count <= budget).all():
         raise NoFeasibleState("greedy placement exceeds the overload budget")
     return state

@@ -92,6 +92,28 @@ def server_sweep():
     return cfg, run_experiment_full(cfg)
 
 
+# sha256 of (sweep.csv, convergence.csv) for each acceptance sweep: seeded
+# outputs must not move unless a change means to move them.
+ACCEPTANCE_DIGESTS = {
+    "devices": (
+        "6b5d7b64b3965eab84857a77794292545fca63f6ded18eb06ff9a3c02d6bbeed",
+        "7976881469138dbdf63f0c8232671ac53e1fd17d4c61f8bf6785edafbe2608c9",
+    ),
+    "servers": (
+        "8d14fb51bea571e99451e0981c6a9cdb9fe88f9981e460328f7782bf4ea17038",
+        "59d28e96a7e538a66aeddb4699f9270b3703fa2b17d560d70abd01f15ea8ad50",
+    ),
+}
+
+
+@pytest.mark.parametrize("sweep", ["device_sweep", "server_sweep"])
+def test_acceptance_outputs_match_pinned_digests(sweep, request, tmp_path):
+    cfg, data = request.getfixturevalue(sweep)
+    paths = write_outputs(data.rows, data.convergence, tmp_path)
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == ACCEPTANCE_DIGESTS[cfg.axis]
+
+
 def paired(records, algorithm_a, algorithm_b):
     """Matched feasible (a, b) record pairs across (cell, replication)."""
     index = {}

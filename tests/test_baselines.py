@@ -19,7 +19,7 @@ from dtplace import (
 )
 from dtplace.baselines import _trial_seed
 
-from conftest import build_instance, constant_samples
+from conftest import build_instance, constant_samples, rounding_boundary_case
 
 
 def seeded_setup(seed, servers=3, devices=3, comp=(1, 2), theta=80):
@@ -170,6 +170,15 @@ def test_nearest_raises_when_nothing_fits():
     samples = constant_samples(inst, [5.0], theta=10)
     with pytest.raises(NoFeasibleState):
         baseline_nearest(inst, samples, params)
+
+
+def test_nearest_spills_at_a_rounding_boundary():
+    # Server 0 holds either component alone but not both: the second one
+    # spills to server 1 rather than the whole greedy being refused.
+    inst, samples, params = rounding_boundary_case()
+    state = baseline_nearest(inst, samples, params).best_state
+    assert state.placement.servers == (0, 1)
+    assert is_feasible(state.profile, params)
 
 
 def test_baseline_trial_count_validation():

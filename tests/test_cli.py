@@ -263,8 +263,9 @@ def test_samples_replay_equals_original_run(tmp_path, capsys):
         assert "--theta 60 disagrees with the 50 scenarios" in capsys.readouterr().err
 
 
-def test_solve_stays_within_budget_at_a_rounding_boundary(tmp_path):
-    from dtplace import is_feasible, overload_profile, placement_from_triples
+def rounding_boundary_flags(tmp_path):
+    """Files and flags of ``rounding_boundary_case`` for a solving command;
+    returns (inst, samples, params, flags)."""
     from dtplace.cli import samples_to_dict
 
     inst, samples, params = rounding_boundary_case()
@@ -272,11 +273,31 @@ def test_solve_stays_within_budget_at_a_rounding_boundary(tmp_path):
     path.write_text(json.dumps({"instance": instance_to_dict(inst)}))
     samples_path = tmp_path / "samples.json"
     samples_path.write_text(json.dumps(samples_to_dict(samples, seed=0)))
+    flags = ["--instance", str(path), "--seed", "1", "--alpha", "0.5", "--epsilon", "0.5",
+             "--samples", str(samples_path)]
+    return inst, samples, params, flags
+
+
+def test_solve_stays_within_budget_at_a_rounding_boundary(tmp_path):
+    from dtplace import is_feasible, overload_profile, placement_from_triples
+
+    inst, samples, params, flags = rounding_boundary_flags(tmp_path)
     out = tmp_path / "solve.json"
-    rc = main(
-        ["solve", "--instance", str(path), "--seed", "1", "--alpha", "0.5", "--epsilon", "0.5",
-         "--samples", str(samples_path), "--out", str(out)]
-    )
+    rc = main(["solve", *flags, "--out", str(out)])
+    assert rc == 0
+    placement = placement_from_triples(inst, json.loads(out.read_text())["placement"])
+    assert is_feasible(overload_profile(inst, samples, placement, params), params)
+
+
+@pytest.mark.parametrize(
+    "command", [["oracle"], ["baseline", "--which", "nearest"]], ids=["oracle", "nearest"]
+)
+def test_oracle_and_nearest_stay_within_budget_at_a_rounding_boundary(tmp_path, command):
+    from dtplace import is_feasible, overload_profile, placement_from_triples
+
+    inst, samples, params, flags = rounding_boundary_flags(tmp_path)
+    out = tmp_path / "result.json"
+    rc = main([*command, *flags, "--out", str(out)])
     assert rc == 0
     placement = placement_from_triples(inst, json.loads(out.read_text())["placement"])
     assert is_feasible(overload_profile(inst, samples, placement, params), params)
@@ -535,3 +556,44 @@ def test_unreadable_input_file_exits_2(tmp_path, instance_file, role, problem, c
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "output, where",
+    [(output, where) for output in ("gen", "solve", "iteration-log", "samples-out", "baseline",
+                                    "oracle") for where in ("missing-dir", "under-a-file")]
+    # experiment makes missing directories, so only a path under a file fails
+    + [("experiment", "under-a-file")],
+)
+def test_unwritable_output_path_exits_2(tmp_path, instance_file, output, where, capsys):
+    blocker = tmp_path / "regular-file"
+    blocker.write_text("not a directory")
+    bad = (tmp_path / "missing" if where == "missing-dir" else blocker) / "out"
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps(MINIMAL_EXPERIMENT))
+    flags = common_flags(instance_file)
+    argv = {
+        "gen": ["gen", "--servers", "2", "--devices", "2", "--components", "1..1",
+                "--seed", "1", "--out", str(bad)],
+        "solve": ["solve", *flags, "--out", str(bad)],
+        "iteration-log": ["solve", *flags, "--iteration-log", str(bad)],
+        "samples-out": ["solve", *flags, "--samples-out", str(bad)],
+        "baseline": ["baseline", "--which", "nearest", *flags, "--out", str(bad)],
+        "oracle": ["oracle", *flags, "--out", str(bad)],
+        "experiment": ["experiment", str(config), "--out", str(bad)],
+    }[output]
+    capsys.readouterr()
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write")
+    assert err.count("\n") == 1 and str(bad) in err
+
+
+@pytest.mark.parametrize("side", ["inf", "nan"])
+def test_gen_refuses_a_non_finite_area_side(tmp_path, side, capsys):
+    rc = main(["gen", "--servers", "2", "--devices", "2", "--components", "1..1",
+               "--seed", "1", "--area-side", side, "--out", str(tmp_path / "x.json")])
+    assert rc == 2
+    assert "area_side" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()

@@ -133,6 +133,16 @@ def test_serialization_round_trip_is_exact():
         dict(num_servers=1, num_devices=1, components_range=(3, 2)),
         dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=0.0),
         dict(num_servers=1, num_devices=1, components_range=(1, 1), offload_kb_range=(5.0, 5.0)),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=float("inf")),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=float("nan")),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1),
+             capacity_range=(0.3e9, float("inf"))),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1),
+             mean_cycles_range=(float("-inf"), 1.0)),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1),
+             unit_cost_range=(0.0, float("nan"))),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1),
+             cost_rate_sd_frac=float("inf")),
     ],
 )
 def test_invalid_config_rejected(kwargs):

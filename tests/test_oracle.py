@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from dtplace import (
     stage_search,
 )
 from dtplace import oracle
+from dtplace.saa import server_load
 
-from conftest import build_instance, constant_samples
+from conftest import build_instance, constant_samples, rounding_boundary_case
 
 
 def bruteforce_solve(inst, samples, params):
@@ -237,15 +239,13 @@ def test_oracle_finds_a_winner_in_a_later_block():
 
 
 def reference_subset_feasibility(inst, samples, budget):
-    """Loop form of the subset table: demands added in ascending order."""
+    """Every subset counted from scratch with ``server_load``."""
     K = inst.total_components
     ok = np.empty((inst.num_servers, 2**K), dtype=bool)
     for s in range(inst.num_servers):
         for mask in range(2**K):
-            load = np.zeros(samples.theta)
-            for k in range(K):
-                if mask >> k & 1:
-                    load = load + inst.cost_rates[s] * samples.cycles[k]
+            members = np.array([mask >> k & 1 for k in range(K)], dtype=bool)
+            load = server_load(inst, samples, members, s)
             ok[s, mask] = (load > inst.capacities[s]).sum() <= budget
     return ok
 
@@ -266,6 +266,49 @@ def test_subset_table_and_enumeration_are_block_size_independent(monkeypatch):
     monkeypatch.setattr(oracle, "STATE_BLOCK", 5)
     assert (oracle._subset_feasibility(inst, samples, budget) == reference).all()
     assert exact_solve(inst, samples, params) == default
+
+
+@pytest.mark.parametrize("load_block_bytes", [oracle.LOAD_BLOCK_BYTES, 8 * 60 * 4])
+def test_subset_table_at_capacity_equal_to_a_subset_load(monkeypatch, load_block_bytes):
+    # Budget 0 and every capacity the peak load of some subset: that subset
+    # is feasible only if the table sums its peak exactly as server_load does.
+    monkeypatch.setattr(oracle, "LOAD_BLOCK_BYTES", load_block_bytes)
+    cfg = GenConfig(num_servers=3, num_devices=2, components_range=(3, 3))
+    inst = generate_instance(cfg, 75)
+    params = SaaParams(alpha=0.01, epsilon=0.01, theta=60)
+    assert allowed_overloads(params) == 0
+    samples = scaled_samples(inst, params, 9, 2.5)
+    rng = np.random.default_rng(5)
+    K = inst.total_components
+    for _ in range(20):
+        subsets = rng.random((inst.num_servers, K)) < 0.6
+        caps = [server_load(inst, samples, m, s).max() for s, m in enumerate(subsets)]
+        servers = tuple(replace(srv, capacity=float(c)) for srv, c in zip(inst.servers, caps))
+        boundary = replace(inst, servers=servers)
+        reference = reference_subset_feasibility(boundary, samples, 0)
+        masks = subsets @ (1 << np.arange(K))
+        assert reference[np.arange(inst.num_servers), masks].all()
+        assert (oracle._subset_feasibility(boundary, samples, 0) == reference).all()
+
+
+def test_oracle_matches_bruteforce_at_a_rounding_boundary():
+    inst, samples, params = rounding_boundary_case()
+    assert assert_matches_bruteforce(inst, samples, params).feasible
+
+
+def test_oracle_matches_bruteforce_on_eight_components_in_one_scenario():
+    # Over a single scenario column numpy's sum adds eight or more rows
+    # pairwise; server 0's capacity is that pairwise sum of all eight.
+    cycles = [8.245026313708422, 8.271467107628443, 5.637930049379278, 3.5722124207932744,
+              1.4853763214349078, 4.450319927069664, 4.676258848779987, 1.4074767451220065]
+    capacity = np.array(cycles)[:, None].sum(axis=0)[0]
+    inst = build_instance(
+        servers=[(0, 0, 1.0, capacity), (100, 0, 1.0, 1e9)],
+        devices=[(0, 0, [(c, 200.0, (0.0,))]) for c in cycles],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.5, epsilon=0.5, theta=1)
+    assert assert_matches_bruteforce(inst, constant_samples(inst, cycles, theta=1), params).feasible
 
 
 def test_negative_capacity_server_overloads_even_when_empty():

@@ -55,6 +55,31 @@ def test_load_matrix_matches_the_per_server_formula(seed, num_components, extra_
         assert np.array_equal(server_load(inst, samples, assignment == s, s), expected[s])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_components=st.integers(1, 20),
+    theta=st.sampled_from([1, 2, 3]),
+)
+def test_server_load_adds_members_in_ascending_order(seed, num_components, theta):
+    # One order for every overload count: cycles added one member at a time,
+    # ascending, then times the rate; also over a single scenario column.
+    rng = np.random.default_rng(seed)
+    K = num_components
+    inst = build_instance(
+        servers=[(0, 0, rng.uniform(0.5, 10.0), 1e9)],
+        devices=[(0, 0, [(1.0, 100.0, (0.0,))]) for _ in range(K)],
+        unit_cost=0.5,
+    )
+    samples = SampleSet(cycles=10.0 ** rng.uniform(-3.0, 3.0, size=(K, theta)))
+    members = rng.random(K) < 0.8
+    total = np.zeros(theta)
+    for k in range(K):
+        if members[k]:
+            total = total + samples.cycles[k]
+    assert np.array_equal(server_load(inst, samples, members, 0), inst.cost_rates[0] * total)
+
+
 def test_params_validation():
     SaaParams(alpha=0.01, epsilon=0.01, theta=1)
     with pytest.raises(ConfigurationError):
