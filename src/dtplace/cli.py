@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
@@ -153,16 +155,7 @@ def _cmd_gen(args) -> int:
     )
     inst = generate_instance(cfg, args.seed)
     _dump_json(
-        {
-            "seed": args.seed,
-            "gen_config": {
-                "num_servers": cfg.num_servers,
-                "num_devices": cfg.num_devices,
-                "components_range": list(cfg.components_range),
-                "area_side": cfg.area_side,
-            },
-            "instance": instance_to_dict(inst),
-        },
+        {"seed": args.seed, "gen_config": asdict(cfg), "instance": instance_to_dict(inst)},
         args.out,
     )
     return 0
@@ -172,9 +165,7 @@ def _cmd_solve(args) -> int:
     inst, params, samples = _load_problem(args)
     if args.samples_out:
         _dump_json(samples_to_dict(samples, seed=args.seed), args.samples_out)
-    cfg = StageConfig(
-        delta=args.delta, max_iterations=args.max_iterations, phase2_step_cap=args.phase2_step_cap
-    )
+    cfg = StageConfig(delta=args.delta, max_iterations=args.max_iterations)
     run = run_algorithm("stage", inst, samples, params, args.seed, stage=cfg)
     if args.iteration_log:
         write_iteration_log(run, args.iteration_log)
@@ -219,7 +210,10 @@ def _cmd_experiment(args) -> int:
         for key, value in (("master_seed", args.seed), ("replications", args.replications)):
             if value is not None:
                 raw[key] = value
-    data = run_experiment_full(ExperimentConfig.from_dict(raw))
+    cfg = ExperimentConfig.from_dict(raw)
+    # Fail on an output path that cannot be made before the sweep runs.
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    data = run_experiment_full(cfg)
     sweep, conv = write_outputs(data.rows, data.convergence, args.out)
     print(f"wrote {sweep}")
     print(f"wrote {conv}")
@@ -277,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_saa_flags(p)
     p.add_argument("--delta", type=float, default=StageConfig.delta)
     p.add_argument("--max-iterations", type=int, default=StageConfig.max_iterations)
-    p.add_argument("--phase2-step-cap", type=int, default=StageConfig.phase2_step_cap)
     p.add_argument("--samples-out", help="persist the drawn sample set for replay")
     p.add_argument("--iteration-log", help="write the per-iteration CSV log")
     p.add_argument("--out")

@@ -161,24 +161,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Instance-generation parameters.
-
-    Defaults follow the standard synthetic setup: entities uniform over a
-    square area, per-cycle cost rates normal around a uniform base with a
-    fixed relative spread, capacities and payload sizes uniform.
-    """
+    """Instance-generation parameters: the entity counts and the side of the
+    square area. The distributions are fixed; see :func:`generate_instance`."""
 
     num_servers: int
     num_devices: int
     components_range: tuple[int, int]
     area_side: float = DEFAULT_AREA_SIDE
-    cost_rate_base_range: tuple[float, float] = (1.0, 10.0)
-    cost_rate_sd_frac: float = 0.2
-    capacity_range: tuple[float, float] = (0.3e9, 0.4e9)
-    mean_cycles_range: tuple[float, float] = (1.0e6, 10.0e6)
-    offload_kb_range: tuple[float, float] = (100.0, 500.0)
-    exchange_kb_range: tuple[float, float] = (50.0, 250.0)
-    unit_cost_range: tuple[float, float] = (0.0, 1.0)
 
     def validate(self) -> None:
         if self.num_servers < 1 or self.num_devices < 1:
@@ -188,20 +177,8 @@ class GenConfig:
             raise ConfigurationError(
                 f"components_range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]"
             )
-        for name in ("area_side", "cost_rate_sd_frac"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite")
-        for name in (
-            "cost_rate_base_range",
-            "capacity_range",
-            "mean_cycles_range",
-            "offload_kb_range",
-            "exchange_kb_range",
-            "unit_cost_range",
-        ):
-            a, b = getattr(self, name)
-            if not -math.inf < a < b < math.inf:
-                raise ConfigurationError(f"{name} must be a finite, non-degenerate range")
+        if not 0 < self.area_side < math.inf:
+            raise ConfigurationError("area_side must be positive and finite")
 
 
 def _positive_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
@@ -214,7 +191,16 @@ def _positive_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
 
 
 def generate_instance(cfg: GenConfig, seed: int) -> Instance:
-    """Draw a random instance; pure function of (cfg, seed)."""
+    """Draw a random instance; pure function of (cfg, seed).
+
+    Servers and devices sit uniformly in the square ``[0, area_side]^2``.
+    A server's cost per cycle is normal with mean ``b ~ U(1, 10)`` and
+    deviation ``0.2 * b`` (resampled until positive); its capacity is
+    ``U(0.3e9, 0.4e9)``. A device has ``U{lo..hi}`` components sharing mean
+    cycles ``U(1e6, 10e6)``; each component offloads ``U(100, 500)`` KB and
+    each sibling pair exchanges ``U(50, 250)`` KB. The unit transport cost
+    is ``U(0, 1)``.
+    """
     cfg.validate()
     rng = stream(seed, "instance")
     side = cfg.area_side
@@ -222,9 +208,9 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
     servers = []
     for s in range(cfg.num_servers):
         pos = Point(float(rng.uniform(0, side)), float(rng.uniform(0, side)))
-        base = rng.uniform(*cfg.cost_rate_base_range)
-        rate = _positive_normal(rng, base, cfg.cost_rate_sd_frac * base)
-        cap = float(rng.uniform(*cfg.capacity_range))
+        base = rng.uniform(1.0, 10.0)
+        rate = _positive_normal(rng, base, 0.2 * base)
+        cap = float(rng.uniform(0.3e9, 0.4e9))
         servers.append(EdgeServer(id=s + 1, position=pos, cost_per_cycle=rate, capacity=cap))
 
     devices = []
@@ -232,14 +218,14 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
     for d in range(cfg.num_devices):
         pos = Point(float(rng.uniform(0, side)), float(rng.uniform(0, side)))
         n_comp = int(rng.integers(lo, hi + 1))
-        mean_cycles = float(rng.uniform(*cfg.mean_cycles_range))
-        offloads = [float(rng.uniform(*cfg.offload_kb_range)) for _ in range(n_comp)]
+        mean_cycles = float(rng.uniform(1.0e6, 10.0e6))
+        offloads = [float(rng.uniform(100.0, 500.0)) for _ in range(n_comp)]
         # Draw only the upper triangle so the exchange matrix is symmetric
         # with a zero diagonal by construction.
         g = np.zeros((n_comp, n_comp))
         for c in range(n_comp):
             for c2 in range(c + 1, n_comp):
-                g[c, c2] = g[c2, c] = rng.uniform(*cfg.exchange_kb_range)
+                g[c, c2] = g[c2, c] = rng.uniform(50.0, 250.0)
         comps = tuple(
             DtComponent(
                 id=c + 1,
@@ -251,7 +237,7 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
         )
         devices.append(PhysicalDevice(id=d + 1, position=pos, components=comps))
 
-    unit_cost = float(rng.uniform(*cfg.unit_cost_range))
+    unit_cost = float(rng.uniform(0.0, 1.0))
     return Instance(servers=tuple(servers), devices=tuple(devices), unit_transport_cost=unit_cost)
 
 

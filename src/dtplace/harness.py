@@ -76,12 +76,18 @@ class ExperimentConfig:
         value goes through ``int()`` or ``float()``, but nothing is truncated:
         a bool, a number with a fractional part for a whole-number field and
         a string for a list are refused. Anything that does not convert, a
-        missing key and an invalid value raise :class:`ConfigurationError`.
+        missing key, a key that is none of the above (a typo would otherwise
+        run at the default) and an invalid value raise
+        :class:`ConfigurationError`.
         """
         if not isinstance(raw, dict):
             raise ConfigurationError(
                 f"experiment config must be a JSON object, got {type(raw).__name__}"
             )
+        known = {f.name for c in (cls, SaaParams, StageConfig) for f in fields(c)}
+        unknown = sorted(set(raw) - (known - {"saa", "stage"}))
+        if unknown:
+            raise ConfigurationError(f"unknown experiment config keys: {', '.join(unknown)}")
 
         def present(**converters):
             return {key: conv(raw[key]) for key, conv in converters.items() if key in raw}
@@ -95,9 +101,7 @@ class ExperimentConfig:
                 master_seed=_whole(raw["master_seed"]),
                 components_range=(lo, hi),
                 saa=SaaParams(**present(alpha=_real, epsilon=_real, theta=_whole)),
-                stage=StageConfig(
-                    **present(delta=_real, max_iterations=_whole, phase2_step_cap=_whole)
-                ),
+                stage=StageConfig(**present(delta=_real, max_iterations=_whole)),
                 **present(num_servers=_whole, num_devices=_whole, baseline_trials=_whole),
             )
         except ConfigurationError:

@@ -34,6 +34,8 @@ from .seeding import stream
 if TYPE_CHECKING:
     from .stage import QuadraticModel
 
+MAX_TRIES = 10000  # uniform draws before the random start falls back to the greedy
+
 
 @dataclass(frozen=True, eq=False)
 class SearchState:
@@ -242,12 +244,11 @@ def random_feasible_state(
     samples: SampleSet,
     params: SaaParams,
     seed: int,
-    max_tries: int = 10000,
 ) -> SearchState:
     """Uniform rejection sampling of a feasible placement, greedy fallback.
 
     Draws components-to-servers uniformly and keeps the first draw whose
-    overload counts all stay within budget. After ``max_tries`` rejections,
+    overload counts all stay within budget. After ``MAX_TRIES`` rejections,
     runs the shared first-fit greedy (:func:`_greedy_fill`) with components
     in random order and servers ranked by their current worst excess;
     raises :class:`NoFeasibleState` when that also fails.
@@ -257,7 +258,7 @@ def random_feasible_state(
     K, S = inst.total_components, inst.num_servers
     budget = allowed_overloads(params)
     cap = inst.capacities
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         assignment = rng.integers(0, S, size=K)
         counts = (load_matrix(inst, samples, assignment) > cap[:, None]).sum(axis=1)
         if (counts <= budget).all():

@@ -22,6 +22,7 @@ from .search import RunSummary, SearchState, Trajectory, hill_climb, random_feas
 from .seeding import child_seed
 
 RIDGE_DEFAULT = 1e-8
+PHASE2_STEP_CAP = 500  # safety cap on the prediction descent's moves
 
 _INTERCEPT_FREE = np.diag([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
@@ -56,15 +57,12 @@ class QuadraticModel:
 class StageConfig:
     delta: float = 0.015  # relative-change convergence bound
     max_iterations: int = 10
-    phase2_step_cap: int = 500  # safety cap on the prediction descent
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ConfigurationError("delta must be positive")
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        if self.phase2_step_cap < 1:
-            raise ConfigurationError("phase2_step_cap must be >= 1")
 
 
 def converged(rho_t: float, rho_prev: float, delta: float) -> bool:
@@ -110,10 +108,13 @@ def fit_value_model(all_trajectories: list[Trajectory]) -> QuadraticModel:
         return QuadraticModel(coefficients=beta, feature_mean=mean, feature_sd=sd)
     u = (x[:, 0] - mean[0]) / sd[0]
     v = (x[:, 1] - mean[1]) / sd[1]
-    design = np.column_stack([np.ones_like(u), u, v, u * u, v * v, u * v])
-    normal = design.T @ design + RIDGE_DEFAULT * _INTERCEPT_FREE
+    design = np.stack([np.ones_like(u), u, v, u * u, v * v, u * v])  # (6, n)
+    # Elementwise sums along each row, not a BLAS product: OpenBLAS picks its
+    # kernel, and so its rounding, by CPU, and seeded outputs must not.
+    gram = (design[:, None, :] * design[None, :, :]).sum(axis=-1)
+    rhs = (design * y).sum(axis=-1)
     try:
-        beta = np.linalg.solve(normal, design.T @ y)
+        beta = np.linalg.solve(gram + RIDGE_DEFAULT * _INTERCEPT_FREE, rhs)
         if not np.isfinite(beta).all():
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
@@ -145,10 +146,9 @@ def stage_search(
             best = state
 
     def descend_on(model: QuadraticModel, state: SearchState) -> SearchState:
-        """Phase II: the prediction descent, capped at phase2_step_cap moves."""
-        cap = cfg.phase2_step_cap
+        """Phase II: the prediction descent, capped at PHASE2_STEP_CAP moves."""
         return hill_climb(
-            inst, samples, params, state, objective=model, max_steps=cap, on_visit=visit
+            inst, samples, params, state, objective=model, max_steps=PHASE2_STEP_CAP, on_visit=visit
         )[0]
 
     start = random_feasible_state(inst, samples, params, seed)

@@ -9,7 +9,11 @@ theta=1850) with fresh 20000-scenario checks.
 from __future__ import annotations
 
 import hashlib
+import os
+import platform
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,40 @@ def test_acceptance_outputs_match_pinned_digests(sweep, request, tmp_path):
     paths = write_outputs(data.rows, data.convergence, tmp_path)
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
     assert digests == ACCEPTANCE_DIGESTS[cfg.axis]
+
+
+PINNED_OUTPUT_TESTS = (
+    "tests/test_acceptance.py::test_acceptance_outputs_match_pinned_digests",
+    "tests/test_harness.py::test_golden_checksum",
+    "tests/test_stage.py::test_stage_golden_output",
+)
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel by CPU."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(
+    not openblas_dynamic_arch() or platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="needs an x86-64 OpenBLAS DYNAMIC_ARCH build to force a kernel",
+)
+def test_pinned_outputs_do_not_depend_on_the_blas_kernel():
+    # Sandybridge's kernels round a Gram-matrix product differently from the
+    # default ones; the pinned outputs must not move with them.
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"}
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *PINNED_OUTPUT_TESTS],
+        cwd=Path(__file__).resolve().parent.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def paired(records, algorithm_a, algorithm_b):

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from dtplace import instance_to_dict
+from dtplace import GenConfig, generate_instance, instance_to_dict
+from dtplace import cli
 from dtplace.cli import main
 
 from conftest import build_instance, rounding_boundary_case
@@ -47,6 +49,18 @@ def test_gen_is_deterministic(tmp_path):
         main(["gen", "--servers", "2", "--devices", "2", "--components", "1..1",
               "--seed", "9", "--out", str(path)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_file_regenerates_its_instance(tmp_path):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "--servers", "3", "--devices", "4", "--components", "1..3",
+                 "--seed", "11", "--area-side", "80", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    # Every generator setting is recorded, so the file's config and seed
+    # rebuild its instance exactly.
+    assert set(data["gen_config"]) == {f.name for f in fields(GenConfig)}
+    again = generate_instance(GenConfig(**data["gen_config"]), data["seed"])
+    assert json.dumps(instance_to_dict(again), indent=2) == json.dumps(data["instance"], indent=2)
 
 
 def common_flags(instance_file):
@@ -531,6 +545,32 @@ def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_experiment_key_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**MINIMAL_EXPERIMENT, "thetaa": 50}))
+    rc = main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: unknown experiment config keys: thetaa\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_checks_its_output_directory_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def sweep_must_not_run(cfg):
+        raise AssertionError("the sweep ran before --out was made")
+
+    monkeypatch.setattr(cli, "run_experiment_full", sweep_must_not_run)
+    blocker = tmp_path / "regular-file"
+    blocker.write_text("not a directory")
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(MINIMAL_EXPERIMENT))
+    rc = main(["experiment", str(cfg_path), "--out", str(blocker / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write")
+    assert err.count("\n") == 1 and str(blocker / "out") in err
 
 
 @pytest.mark.parametrize("problem", ["missing", "bad-json", "not-text"])

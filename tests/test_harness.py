@@ -221,7 +221,7 @@ def test_from_dict_defaults_and_conversions():
         num_devices=5,
         components_range=(1, 3),
         saa=SaaParams(alpha=0.01, epsilon=0.005, theta=1850),
-        stage=StageConfig(delta=0.015, max_iterations=10, phase2_step_cap=500),
+        stage=StageConfig(delta=0.015, max_iterations=10),
         baseline_trials=10,
     )
     full = {
@@ -240,3 +240,19 @@ def test_from_dict_defaults_and_conversions():
         ExperimentConfig.from_dict({k: v for k, v in required.items() if k != "master_seed"})
     with pytest.raises(ConfigurationError, match="distinct"):
         ExperimentConfig.from_dict({**required, "axis_values": [3, 3]})
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"thetaa": 50}, "thetaa"),  # a typo would run at the default theta
+        ({"saa": {"theta": 5}}, "saa"),  # nested fields are not read
+        ({"stage": {"delta": 0.1}}, "stage"),
+        ({"phase2_step_cap": 500}, "phase2_step_cap"),  # a removed setting
+        ({"zeta": 1, "beta": 2}, "beta, zeta"),
+    ],
+)
+def test_from_dict_rejects_keys_it_does_not_read(extra, named):
+    required = {"axis": "devices", "axis_values": [2, 3], "replications": 2, "master_seed": 606}
+    with pytest.raises(ConfigurationError, match=f"unknown experiment config keys: {named}$"):
+        ExperimentConfig.from_dict({**required, **extra})

@@ -126,7 +126,8 @@ def test_size_cap_enforced(small_instance, small_params, small_samples):
         exact_solve(small_instance, small_samples, small_params, size_cap=3)
 
 
-def test_oracle_feasibility_verdict_matches_sampler():
+def test_oracle_feasibility_verdict_matches_sampler(monkeypatch):
+    monkeypatch.setattr("dtplace.search.MAX_TRIES", 10)
     inst = build_instance(
         servers=[(0, 0, 1.0, 4.0)],
         devices=[(5, 0, [(5.0, 200.0, (0.0,))])],
@@ -138,7 +139,7 @@ def test_oracle_feasibility_verdict_matches_sampler():
     assert not result.feasible
     assert result.optimum is None and result.argmin is None
     with pytest.raises(NoFeasibleState):
-        random_feasible_state(inst, samples, params, 1, max_tries=10)
+        random_feasible_state(inst, samples, params, 1)
 
     roomy = build_instance(
         servers=[(0, 0, 1.0, 1e9)],

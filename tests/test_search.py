@@ -296,13 +296,15 @@ def test_random_feasible_state_accepts_first_draw_when_capacity_abundant():
     assert repeat.placement.servers == state.placement.servers
 
 
-def test_random_feasible_state_uses_greedy_fallback():
+def test_random_feasible_state_uses_greedy_fallback(monkeypatch):
+    monkeypatch.setattr("dtplace.search.MAX_TRIES", 25)
     inst, samples, params = greedy_fallback_case()
-    state = random_feasible_state(inst, samples, params, 0, max_tries=25)
+    state = random_feasible_state(inst, samples, params, 0)
     assert state.placement.servers == (1,) * 12
 
 
-def test_random_feasible_state_raises_when_impossible():
+def test_random_feasible_state_raises_when_impossible(monkeypatch):
+    monkeypatch.setattr("dtplace.search.MAX_TRIES", 20)
     inst = build_instance(
         servers=[(0, 0, 1.0, 4.0)],
         devices=[(5, 0, [(5.0, 200.0, (0.0,))])],
@@ -311,7 +313,7 @@ def test_random_feasible_state_raises_when_impossible():
     params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
     samples = constant_samples(inst, [5.0], theta=10)
     with pytest.raises(NoFeasibleState):
-        random_feasible_state(inst, samples, params, 1, max_tries=20)
+        random_feasible_state(inst, samples, params, 1)
 
 
 def test_every_visited_state_is_feasible():
@@ -503,7 +505,9 @@ def climb_cases(draw, twins=st.just(False)):
 def test_hill_climb_matches_reference_climb_step_for_step(case):
     inst, samples, params, seed = case
     try:
-        start = random_feasible_state(inst, samples, params, seed, max_tries=50)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dtplace.search.MAX_TRIES", 50)
+            start = random_feasible_state(inst, samples, params, seed)
     except NoFeasibleState:
         assume(False)
     visited = []
@@ -562,7 +566,9 @@ def test_climb_steps_equal_masked_argmin_over_scratch_feasibility(case):
     # infeasible, so the climb must pass over it to the tied twin.
     inst, samples, params, seed = case
     try:
-        start = random_feasible_state(inst, samples, params, seed, max_tries=50)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("dtplace.search.MAX_TRIES", 50)
+            start = random_feasible_state(inst, samples, params, seed)
     except NoFeasibleState:
         assume(False)
     visited = []

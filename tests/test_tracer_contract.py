@@ -93,10 +93,11 @@ def test_stage_search_records_cost_and_prediction_climbs(bench):
     assert climbs == {"search.hill_climb.cost", "search.hill_climb.predict"}
 
 
-def test_random_feasible_state_counts_one_draw_per_try(bench):
+def test_random_feasible_state_counts_one_draw_per_try(bench, monkeypatch):
     tracer, _ = bench
+    monkeypatch.setattr(search, "MAX_TRIES", 25)
     inst, samples, params = greedy_fallback_case()
     with tracer.Tracer() as t:
-        state = search.random_feasible_state(inst, samples, params, 0, max_tries=25)
+        state = search.random_feasible_state(inst, samples, params, 0)
     assert state.placement.servers == (1,) * 12  # every draw rejected, then the greedy
     assert tracer.layer_metrics(t.spans)["search.random_feasible_state.draws"] == 25
