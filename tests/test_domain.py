@@ -132,8 +132,9 @@ def test_serialization_round_trip_is_exact():
         dict(num_servers=1, num_devices=1, components_range=(0, 1)),
         dict(num_servers=1, num_devices=1, components_range=(3, 2)),
         dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=0.0),
-        dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=float("nan")),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=-1.0),
         dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=float("inf")),
+        dict(num_servers=1, num_devices=1, components_range=(1, 1), area_side=float("nan")),
     ],
 )
 def test_invalid_config_rejected(kwargs):
