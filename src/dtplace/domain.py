@@ -177,8 +177,9 @@ class GenConfig:
             raise ConfigurationError(
                 f"components_range must satisfy 1 <= lo <= hi, got [{lo}, {hi}]"
             )
-        if not 0 < self.area_side < math.inf:
-            raise ConfigurationError("area_side must be positive and finite")
+        # Manhattan distances reach 2 * area_side.
+        if not (0 < self.area_side and 2 * self.area_side < math.inf):
+            raise ConfigurationError("area_side must be positive, with 2 * area_side finite")
 
 
 def _positive_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
@@ -244,8 +245,8 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
 def validate_instance(inst: Instance) -> list[str]:
     """Check every structural invariant; returns all violations found.
 
-    Every number must be finite: a NaN or infinite entry would solve to a
-    NaN or infinite cost instead of failing.
+    Every number must be finite, the derived distances too: a NaN or
+    infinite entry would solve to a NaN or infinite cost instead of failing.
     """
     out: list[str] = []
     if not inst.servers:
@@ -260,6 +261,9 @@ def validate_instance(inst: Instance) -> list[str]:
     ]:
         if not (0 <= pos.x < math.inf and 0 <= pos.y < math.inf):
             out.append(f"{pos_owner} has a negative or non-finite coordinate")
+    for name in ("dist_server_device", "dist_server_server"):
+        if not np.isfinite(getattr(inst, name)).all():
+            out.append(f"{name} has a non-finite entry")
 
     for i, srv in enumerate(inst.servers):
         if srv.id != i + 1:

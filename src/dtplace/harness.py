@@ -194,22 +194,7 @@ def _cell_seed(cfg: ExperimentConfig, value: int, rep: int, *labels: str) -> int
     return child_seed(cfg.master_seed, f"cell={cfg.axis}:{value}", f"rep={rep}", *labels)
 
 
-# In run order. The entries look the algorithms up as module globals at call
-# time, so rebinding one of those names (as a tracer does) reaches every run.
-_ALGORITHMS = {
-    "stage": lambda inst, samples, params, seed, stage, trials: stage_search(
-        inst, samples, params, stage, seed
-    ),
-    "random": lambda inst, samples, params, seed, stage, trials: baseline_random_best(
-        inst, samples, params, trials, seed
-    ),
-    "restart": lambda inst, samples, params, seed, stage, trials: baseline_restart_hillclimb(
-        inst, samples, params, trials, seed
-    ),
-    "nearest": lambda inst, samples, params, seed, stage, trials: baseline_nearest(
-        inst, samples, params
-    ),
-}
+_ALGORITHMS = ("stage", "random", "restart", "nearest")  # in run order
 
 
 def run_algorithm(
@@ -225,9 +210,22 @@ def run_algorithm(
 
     ``stage`` configures only the learned-restart search and ``trials`` only
     the random and restart baselines. Raises :class:`NoFeasibleState` when
-    the algorithm finds no placement within the overload budget.
+    the algorithm finds no placement within the overload budget, and
+    :class:`ConfigurationError` for an unknown name. The algorithms are
+    looked up as module globals at call time, so rebinding one of those
+    names (as a tracer does) reaches every run.
     """
-    return _ALGORITHMS[name](inst, samples, params, seed, stage, trials)
+    if name == "stage":
+        return stage_search(inst, samples, params, stage, seed)
+    if name == "random":
+        return baseline_random_best(inst, samples, params, trials, seed)
+    if name == "restart":
+        return baseline_restart_hillclimb(inst, samples, params, trials, seed)
+    if name == "nearest":
+        return baseline_nearest(inst, samples, params)
+    raise ConfigurationError(
+        f"unknown algorithm {name!r}; expected one of {', '.join(_ALGORITHMS)}"
+    )
 
 
 def run_cell_rep(cfg: ExperimentConfig, value: int, rep: int) -> list[RunRecord]:

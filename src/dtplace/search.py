@@ -90,8 +90,8 @@ class _Workspace:
     """Mutable support structure for one climb, holding its current state.
 
     :meth:`move_values` builds the one (K, S) value table a step reads.
-    Candidate overload counts are not cached: :meth:`candidate_count` counts
-    one move when the climb asks whether it is feasible.
+    Candidate overload counts are not cached: :meth:`candidate_count` scans
+    one move's scenarios when the climb asks whether it is feasible.
     """
 
     def __init__(self, inst: Instance, samples: SampleSet, params: SaaParams, start: SearchState):
@@ -101,28 +101,18 @@ class _Workspace:
         self.assignment = start.placement.array()
         self.allowed = allowed_overloads(params)
         self.load = load_matrix(inst, samples, self.assignment)
-        self.load_max = self.load.max(axis=1)
         self.counts = start.profile.overload_count.copy()
         self.rows = np.arange(inst.total_components)
         self.e_rows = inst.dist_server_device[:, inst.component_device].T
         # Padded sibling slots point at k itself; they weigh 0 in both sums.
         self.sib_on = (inst.sibling_index != self.rows[:, None]).astype(np.float64)
-        # rate_max[k, s] bounds every scenario's rate * cycles of k on s.
-        self.rate_max = samples.cycles.max(axis=1)[:, None] * inst.cost_rates[None, :]
 
     def candidate_count(self, k: int, s: int) -> int:
-        """The overload count server s would have if it also hosted component k.
-
-        When the bound ``rate_max + max(load)`` stays within capacity the count
-        is 0 without a scan: float rounding is monotone, so no scenario's
-        ``rate * cycles + load`` can exceed that bound.
-        """
-        cap = self.inst.capacities[s]
-        if self.rate_max[k, s] + self.load_max[s] <= cap:
-            return 0
+        """The overload count server s would have if it also hosted component k:
+        one scan of ``rate * cycles + load`` over the scenarios."""
         cand = self.inst.cost_rates[s] * self.samples.cycles[k]
         cand += self.load[s]
-        return int(np.count_nonzero(cand > cap))
+        return int(np.count_nonzero(cand > self.inst.capacities[s]))
 
     def apply(self, k: int, target: int) -> SearchState:
         """Move component k to ``target``; the new current state is evaluated
@@ -132,7 +122,6 @@ class _Workspace:
         self.assignment[k] = target
         for s in (source, target):
             self.load[s] = server_load(inst, self.samples, self.assignment == s, s)
-            self.load_max[s] = self.load[s].max()
             self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
         pl = Placement(tuple(self.assignment.tolist()))
         cost, feat = measure(inst, pl)
@@ -184,7 +173,7 @@ def hill_climb(
     (or after ``max_steps`` accepted moves). The start's caches are trusted
     as given; every accepted state is evaluated from scratch, and the climb
     stops at the previous state when that state does not improve the value
-    or has its target server over budget (the screened count's sum can round
+    or has its target server over budget (the candidate count's sum can round
     across capacity where the from-scratch sum does not). The trajectory
     records the features of every visited state; its endpoint value is the
     placement cost of the final state regardless of the objective used.
@@ -224,7 +213,7 @@ def hill_climb(
         accepted = ws.apply(k, s)
         accepted_value = value(accepted)
         if not accepted_value < current or accepted.profile.overload_count[s] > ws.allowed:
-            # The screened value or count disagrees with the from-scratch
+            # The broadcast value or count disagrees with the from-scratch
             # state; stop rather than cycle or leave the budget. With
             # positive cycles the source server's count cannot rise.
             break

@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 
 def _label_words(label: str) -> list[int]:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -19,7 +21,7 @@ def _label_words(label: str) -> list[int]:
 
 def seed_sequence(seed: int, *labels: str) -> np.random.SeedSequence:
     if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     entropy = [seed]
     for label in labels:
         entropy.extend(_label_words(label))

@@ -359,6 +359,53 @@ def test_invalid_instance_exits_2(tmp_path, command, capsys):
     assert "capacity not positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "baseline", "oracle", "validate"])
+def test_overflowing_distances_exit_2(tmp_path, command, capsys):
+    # Every coordinate is finite, but |dx| + |dy| between the two corners
+    # overflows to inf, which would solve to an infinite cost.
+    inst = build_instance(
+        servers=[(0.0, 0.0, 1.0, 1e9), (1e308, 1e308, 1.0, 1e9)],
+        devices=[(0.0, 0.0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"instance": instance_to_dict(inst)}))
+    argv = {
+        "solve": ["solve", *common_flags(path)],
+        "baseline": ["baseline", "--which", "nearest", *common_flags(path)],
+        "oracle": ["oracle", *common_flags(path)],
+        "validate": ["validate", "--instance", str(path), "--placement", str(tmp_path / "p.json"),
+                     "--seed", "1"],
+    }[command]
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "dist_server_device has a non-finite entry" in err
+    assert "dist_server_server has a non-finite entry" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "baseline", "oracle", "validate"])
+def test_negative_seed_exits_2(tmp_path, instance_file, command, capsys):
+    solve_out = tmp_path / "solve.json"
+    if command == "validate":
+        assert main(["solve", *common_flags(instance_file), "--out", str(solve_out)]) == 0
+    flags = ["--instance", str(instance_file), "--seed", "-1"]
+    argv = {
+        "gen": ["gen", "--servers", "2", "--devices", "2", "--components", "1..1", "--seed", "-1",
+                "--out", str(tmp_path / "x.json")],
+        "solve": ["solve", *flags],
+        "baseline": ["baseline", "--which", "random", *flags],
+        "oracle": ["oracle", *flags],
+        "validate": ["validate", *flags, "--placement", str(solve_out)],
+    }[command]
+    capsys.readouterr()
+    rc = main(argv)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
@@ -630,7 +677,7 @@ def test_unwritable_output_path_exits_2(tmp_path, instance_file, output, where, 
     assert err.count("\n") == 1 and str(bad) in err
 
 
-@pytest.mark.parametrize("side", ["inf", "nan"])
+@pytest.mark.parametrize("side", ["inf", "nan", "1e308"])
 def test_gen_refuses_a_non_finite_area_side(tmp_path, side, capsys):
     rc = main(["gen", "--servers", "2", "--devices", "2", "--components", "1..1",
                "--seed", "1", "--area-side", side, "--out", str(tmp_path / "x.json")])

@@ -13,11 +13,12 @@ from dtplace import (
     Placement,
     SaaParams,
     StageConfig,
+    draw_samples,
     run_experiment_full,
     validate_p1_feasibility,
     write_outputs,
 )
-from dtplace.harness import SWEEP_COLUMNS
+from dtplace.harness import SWEEP_COLUMNS, run_algorithm
 
 from conftest import build_instance
 
@@ -160,6 +161,18 @@ def test_infeasible_cells_are_recorded_not_dropped():
     for row in data.rows:
         assert row.infeasible_count == row.replications == 2
         assert np.isnan(row.mean_cost_per_server)
+
+
+def test_run_algorithm_rejects_an_unknown_name():
+    inst = build_instance(
+        servers=[(0.0, 0.0, 1.0, 1e9)],
+        devices=[(1.0, 0.0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.05, epsilon=0.025, theta=10)
+    samples = draw_samples(inst, params, 1)
+    with pytest.raises(ConfigurationError, match="unknown algorithm 'oracle'"):
+        run_algorithm("oracle", inst, samples, params, 1)
 
 
 def test_config_validation():
