@@ -154,6 +154,9 @@ def _cmd_gen(args) -> int:
         area_side=args.area_side,
     )
     inst = generate_instance(cfg, args.seed)
+    problems = validate_instance(inst)
+    if problems:
+        raise ConfigurationError(f"area_side {cfg.area_side} is too large: " + "; ".join(problems))
     _dump_json(
         {"seed": args.seed, "gen_config": asdict(cfg), "instance": instance_to_dict(inst)},
         args.out,

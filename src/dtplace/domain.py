@@ -17,6 +17,8 @@ from .errors import ConfigurationError
 from .seeding import stream
 
 DEFAULT_AREA_SIDE = 120.0
+# Terms a sum of costs or squared features may add before it overflows.
+SUM_HEADROOM = 2.0**32
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,7 @@ def validate_instance(inst: Instance) -> list[str]:
 
     Every number must be finite, the derived distances too: a NaN or
     infinite entry would solve to a NaN or infinite cost instead of failing.
+    So must the bounds on costs and squared features that they give.
     """
     out: list[str] = []
     if not inst.servers:
@@ -300,6 +303,27 @@ def validate_instance(inst: Instance) -> list[str]:
                     out.append(
                         f"device {dev.id} exchange matrix asymmetric at ({c + 1}, {c2 + 1})"
                     )
+    if not out:
+        out += _overflow_problems(inst)
+    return out
+
+
+def _overflow_problems(inst: Instance) -> list[str]:
+    """Finite inputs whose costs or squared distance features can overflow.
+
+    No placement costs more than ``unit_transport_cost * longest distance *
+    (offload + exchange payloads)``, and the features sum at most K and
+    K * W distances. Both bounds, the features' squared, must leave room
+    for sums of ``SUM_HEADROOM`` such values, as in the value model's fit.
+    """
+    longest = max(float(inst.dist_server_device.max()), float(inst.dist_server_server.max()))
+    payload = float(inst.component_offload_kb.sum()) + float(inst.sibling_exchange_kb.sum())
+    feature = (inst.total_components + inst.sibling_exchange_kb.size) * longest
+    out = []
+    if not float(inst.unit_transport_cost) * longest * payload * SUM_HEADROOM < math.inf:
+        out.append("costs can overflow: unit_transport_cost * longest distance * payload")
+    if not feature * feature * SUM_HEADROOM < math.inf:
+        out.append("distance features can overflow when squared")
     return out
 
 

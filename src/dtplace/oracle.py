@@ -15,8 +15,9 @@ DEFAULT_SIZE_CAP = 2_000_000
 
 # Bytes of (subsets, theta) load rows built at once for the feasibility table.
 LOAD_BLOCK_BYTES = 1 << 19
-# Most placements scored per step of the enumeration.
-STATE_BLOCK = 1024
+# Placements scored per step of the enumeration: the largest power S^t of the
+# server count (1 <= t <= K) up to this, or S itself when S is larger.
+STATE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -68,15 +69,23 @@ def exact_solve(
 ) -> OracleResult:
     """Enumerate every placement; minimal-cost feasible one, first on ties.
 
-    Placements are walked in lexicographic order (component 0 the most
-    significant digit) in blocks of at most ``STATE_BLOCK`` placements that
-    share their leading digits. A block's costs add each component's term
-    in ascending component order, and its feasibility is a lookup of every
-    server's hosted subset in the table from ``_subset_feasibility``. The
-    lowest cost of a block replaces the best so far only when strictly
-    smaller. ``size_cap`` bounds both the S^K placements and the 2^K subsets
-    per server. The reported optimum is recomputed from scratch for the
-    winning placement.
+    Placements are ordered lexicographically (component 0 the most
+    significant digit) and scored in blocks: the S^t placements that share
+    their last K - t digits, for the largest t >= 1 with S^t at most
+    ``STATE_BLOCK`` (t = 1 when S exceeds it). A block is a grid with one
+    axis per leading component, so its flat order is lexicographic. The
+    leading components' costs, added level by level in ascending component
+    order by broadcasting, and their per-server subset masks are the same
+    in every block and built once per call. A block adds each trailing
+    component's term in ascending order, so every placement's cost is the
+    same sum of the same terms as a scratch walk over its components.
+    Feasibility is a lookup of every server's hosted subset in
+    the table from ``_subset_feasibility``; a server whose row admits every
+    leading subset is skipped. A block's first minimum replaces the best
+    so far when it is smaller, or equal and earlier in lexicographic order.
+    ``size_cap`` bounds both the S^K placements and the 2^K subsets per
+    server. The reported optimum is recomputed from scratch for the winning
+    placement.
     """
     check_theta(samples, params)
     S, K = inst.num_servers, inst.total_components
@@ -104,42 +113,58 @@ def exact_solve(
         for k in range(K)
     ]
 
-    # A block holds the S^t placements that share their first K - t digits;
-    # tail[i] lists the trailing digits of its i-th placement.
-    t = min(K, 1)
-    while t < K and S ** (t + 1) <= STATE_BLOCK:
-        t += 1
-    head = K - t
-    block = S**t
-    tail = np.arange(block)[:, None] // S ** np.arange(t - 1, -1, -1) % S
-    tail_masks = np.zeros((S, block), dtype=np.int64)
-    for i in range(t):
-        tail_masks[tail[:, i], np.arange(block)] |= 1 << (head + i)
-
-    best_cost = np.inf
-    best_index = -1
-    for p in range(S**head):
-        a = [p // S ** (head - 1 - k) % S for k in range(head)] + list(tail.T)
-        head_mask = [0] * S
-        for k in range(head):
-            head_mask[a[k]] |= 1 << k
-        cost = np.zeros(block)
-        for k in range(K):
+    def add_terms(cost, a, components):
+        """``cost`` plus each listed component's term, in the given order."""
+        for k in components:
             term = offload[k, a[k]]
             if prev_sib[k]:
                 exchange = 0.0
                 for j, g in prev_sib[k]:
                     exchange = exchange + g * l_ss[a[k], a[j]]
                 term = term + two_r * exchange
-            cost += term
-        feasible = np.ones(block, dtype=bool)
-        for s in range(S):
-            feasible &= ok[s].take(tail_masks[s] | head_mask[s])
-        cost[~feasible] = np.inf
+            cost = cost + term
+        return cost
+
+    # a[k] is component k's server: for the t leading components an index
+    # array along grid axis k, for the trailing ones the block's digit.
+    t = min(K, 1)
+    while t < K and S ** (t + 1) <= STATE_BLOCK:
+        t += 1
+    n_blocks = S ** (K - t)
+    a = [*np.ix_(*[np.arange(S)] * t), *[0] * (K - t)]
+    lead_cost = add_terms(np.zeros((1,) * t), a, range(t))
+    # lead_masks[s, i]: the leading components on server s at grid entry i,
+    # built from the last component up, so each one is the new slowest axis.
+    mask_dtype = np.min_scalar_type(2**t - 1)
+    hosts = np.eye(S, dtype=mask_dtype)
+    lead_masks = np.zeros((S, 1), dtype=mask_dtype)
+    for k in reversed(range(t)):
+        lead_masks = (hosts[:, :, None] << k | lead_masks[:, None, :]).reshape(S, -1)
+    # ok_rows[s, m, i]: server s may host the trailing components in the
+    # mask m together with the leading ones in the mask i.
+    ok_rows = ok.reshape(S, 2 ** (K - t), 2**t)
+    row_ok = ok_rows.all(axis=2)
+
+    best_cost = np.inf
+    best_index = -1
+    for q in range(n_blocks):
+        tail_mask = [0] * S
+        for k in range(t, K):
+            a[k] = q // S ** (K - 1 - k) % S
+            tail_mask[a[k]] |= 1 << (k - t)
+        cost = add_terms(lead_cost, a, range(t, K)).ravel()
+        # A server that may host any leading subset rules nothing out.
+        binding = [s for s in range(S) if not row_ok[s, tail_mask[s]]]
+        if binding:
+            feasible = np.ones(cost.size, dtype=bool)
+            for s in binding:
+                feasible &= ok_rows[s, tail_mask[s]].take(lead_masks[s])
+            cost = np.where(feasible, cost, np.inf)
         i = int(np.argmin(cost))
-        if cost[i] < best_cost:
+        index = i * n_blocks + q
+        if cost[i] < best_cost or (cost[i] == best_cost and index < best_index):
             best_cost = cost[i]
-            best_index = p * block + i
+            best_index = index
 
     if best_index < 0:
         return OracleResult(optimum=None, argmin=None, states_enumerated=total_states)

@@ -385,6 +385,40 @@ def test_overflowing_distances_exit_2(tmp_path, command, capsys):
     assert "dist_server_server has a non-finite entry" in err
 
 
+@pytest.mark.parametrize(
+    "side, problem",
+    [(1e306, "costs can overflow"), (1e160, "distance features can overflow when squared")],
+)
+@pytest.mark.parametrize("command", ["gen", "solve", "baseline", "oracle", "validate"])
+def test_overflowing_costs_exit_2(tmp_path, command, side, problem, capsys):
+    # Every distance is finite, but a cost bound (side 1e306) or a squared
+    # distance feature (side 1e160) is not: solve printed "rho": Infinity
+    # and the oracle called a solvable instance infeasible.
+    inst = build_instance(
+        servers=[(0.0, 0.0, 1.0, 1e9), (side, 0.0, 1.0, 1e9)],
+        devices=[(0.0, 0.0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"instance": instance_to_dict(inst)}))
+    out = tmp_path / "out.json"
+    argv = {
+        "gen": ["gen", "--servers", "3", "--devices", "3", "--components", "1..2", "--seed", "5",
+                "--area-side", str(side)],
+        "solve": ["solve", *common_flags(path)],
+        "baseline": ["baseline", "--which", "nearest", *common_flags(path)],
+        "oracle": ["oracle", *common_flags(path)],
+        "validate": ["validate", "--instance", str(path), "--placement", str(tmp_path / "p.json"),
+                     "--seed", "1"],
+    }[command]
+    rc = main([*argv, "--out", str(out)] if command != "validate" else argv)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and problem in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["gen", "solve", "baseline", "oracle", "validate"])
 def test_negative_seed_exits_2(tmp_path, instance_file, command, capsys):
     solve_out = tmp_path / "solve.json"

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtplace import (
     GenConfig,
@@ -179,6 +180,65 @@ def assert_matches_bruteforce(inst, samples, params):
     return fast
 
 
+@st.composite
+def tiny_cases(draw):
+    """An instance of at most 256 placements, its scenarios and settings.
+
+    Every component averages 3 cycles and a server's capacity fits ``fill``
+    of them, so small fills leave many instances infeasible. ``integral``
+    draws whole cycles, rates and capacities, so loads often meet capacity
+    exactly; ``twins`` makes every server the same, so mirrored placements
+    tie on cost. At theta = 1 up to eight components can share a server,
+    where numpy's ``sum`` would add them pairwise; the tables must count as
+    ``saa.server_load`` does.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_servers = draw(st.integers(1, 4))
+    most = {1: 8, 2: 8, 3: 5, 4: 4}[num_servers]
+    sizes = []
+    for n in draw(st.lists(st.integers(1, 3), min_size=1, max_size=8)):
+        if sum(sizes) + n <= most:
+            sizes.append(n)
+    theta = draw(st.sampled_from([1, 2, 10]))
+    fill = draw(st.sampled_from([0.5, 1.0, 2.0, 100.0]))
+    integral = draw(st.booleans())
+    twins = draw(st.booleans())
+    epsilon = draw(st.sampled_from([0.05, 0.25, 0.5]))
+
+    def server():
+        x, y = rng.uniform(0, 100, size=2)
+        if integral:
+            rate = float(rng.integers(1, 3))
+            return x, y, rate, float(round(fill * rate * 3.0))
+        rate = rng.uniform(1, 10)
+        return x, y, rate, fill * rate * 3.0
+
+    servers = [server()] * num_servers if twins else [server() for _ in range(num_servers)]
+    devices = []
+    for n in sizes:
+        g = np.zeros((n, n))
+        upper = np.triu_indices(n, 1)
+        g[upper] = rng.uniform(50, 250, size=len(upper[0]))
+        g += g.T
+        comps = [(3.0, rng.uniform(100, 500), tuple(g[c])) for c in range(n)]
+        devices.append((*rng.uniform(0, 100, size=2), comps))
+    inst = build_instance(servers=servers, devices=devices, unit_cost=rng.uniform(0.1, 1.0))
+    K = inst.total_components
+    if integral:
+        cycles = rng.integers(1, 6, size=(K, theta)).astype(np.float64)
+    else:
+        cycles = rng.uniform(1.0, 5.0, size=(K, theta))
+    return inst, SampleSet(cycles=cycles), SaaParams(alpha=0.9, epsilon=epsilon, theta=theta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=tiny_cases(), state_block=st.sampled_from([3, oracle.STATE_BLOCK]))
+def test_oracle_matches_bruteforce_on_random_tiny_instances(case, state_block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "STATE_BLOCK", state_block)
+        assert_matches_bruteforce(*case)
+
+
 @pytest.mark.parametrize("num_servers", [2, 3, 4])
 @pytest.mark.parametrize("fill", [1.5, 3.0])
 def test_oracle_matches_bruteforce_on_three_component_devices(num_servers, fill):
@@ -221,9 +281,10 @@ def test_oracle_breaks_ties_lexicographically(monkeypatch, state_block):
     assert is_feasible(overload_profile(inst, samples, mirror, params), params)
 
 
-def test_oracle_finds_a_winner_in_a_later_block():
-    # 3^9 placements span several blocks; server 0 is far away, so the best
-    # placement does not start with server 0 and lies past the first block.
+def test_oracle_finds_a_winner_in_a_later_block(monkeypatch):
+    # 3^9 placements span several blocks of 3^t placements that share their
+    # last 9 - t digits, and the first block puts those components on server
+    # 0. Server 0 is far away, so the best placement lies in a later block.
     servers = [(110, 110, 1.0, 1e9), (0, 0, 1.0, 12.0), (10, 0, 1.0, 22.0)]
     devices = [
         (x, 0, [(5.0, kb, row) for kb, row in zip(
@@ -235,8 +296,14 @@ def test_oracle_finds_a_winner_in_a_later_block():
     inst = build_instance(servers=servers, devices=devices, unit_cost=0.3)
     params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
     samples = constant_samples(inst, [5.0] * 9, theta=10)
-    result = assert_matches_bruteforce(inst, samples, params)
-    assert lexicographic_index(inst, result.argmin) >= oracle.STATE_BLOCK
+    slow_opt, slow_pl = bruteforce_solve(inst, samples, params)
+    for state_block in (oracle.STATE_BLOCK, 27):
+        monkeypatch.setattr(oracle, "STATE_BLOCK", state_block)
+        result = exact_solve(inst, samples, params)
+        assert (result.optimum, result.argmin) == (slow_opt, slow_pl)
+        t = max(t for t in range(1, 10) if 3**t <= state_block)
+        assert t < 9
+        assert lexicographic_index(inst, result.argmin) % 3 ** (9 - t) != 0
 
 
 def reference_subset_feasibility(inst, samples, budget):
