@@ -16,7 +16,8 @@ DEFAULT_SIZE_CAP = 2_000_000
 # Bytes of (subsets, theta) load rows built at once for the feasibility table.
 LOAD_BLOCK_BYTES = 1 << 19
 # Placements scored per step of the enumeration: the largest power S^t of the
-# server count (1 <= t <= K) up to this, or S itself when S is larger.
+# server count (1 <= t <= K) up to this whose S * S^t subset-mask entries fit
+# the size cap, or S itself when none is.
 STATE_BLOCK = 16384
 
 
@@ -72,28 +73,32 @@ def exact_solve(
     Placements are ordered lexicographically (component 0 the most
     significant digit) and scored in blocks: the S^t placements that share
     their last K - t digits, for the largest t >= 1 with S^t at most
-    ``STATE_BLOCK`` (t = 1 when S exceeds it). A block is a grid with one
-    axis per leading component, so its flat order is lexicographic. The
-    leading components' costs, added level by level in ascending component
-    order by broadcasting, and their per-server subset masks are the same
-    in every block and built once per call. A block adds each trailing
-    component's term in ascending order, so every placement's cost is the
-    same sum of the same terms as a scratch walk over its components.
-    Feasibility is a lookup of every server's hosted subset in
-    the table from ``_subset_feasibility``; a server whose row admits every
-    leading subset is skipped. A block's first minimum replaces the best
-    so far when it is smaller, or equal and earlier in lexicographic order.
-    ``size_cap`` bounds both the S^K placements and the 2^K subsets per
-    server. The reported optimum is recomputed from scratch for the winning
-    placement.
+    ``STATE_BLOCK`` and S * S^t at most ``size_cap`` (t = 1 when none is).
+    A block is a grid with one axis per leading component, so its flat
+    order is lexicographic. The leading components' costs, added level by
+    level in ascending component order by broadcasting, and their
+    per-server subset masks (S * S^t entries) are the same in every block
+    and built once per call. A block adds each trailing component's term in
+    ascending order, so every placement's cost is the same sum of the same
+    terms as a scratch walk over its components. Feasibility is a lookup of
+    every server's hosted subset in the table from ``_subset_feasibility``;
+    a server whose row admits every leading subset is skipped. A block's
+    first minimum replaces the best so far when it is smaller, or equal and
+    earlier in lexicographic order. ``size_cap`` bounds the S^K placements,
+    the 2^K subsets per server and the subset-mask entries. The reported
+    optimum is recomputed from scratch for the winning placement.
     """
     check_theta(samples, params)
     S, K = inst.num_servers, inst.total_components
     total_states = S**K
-    if max(total_states, 2**K) > size_cap:
+    t = min(K, 1)
+    while t < K and S ** (t + 1) <= min(STATE_BLOCK, size_cap // S):
+        t += 1
+    mask_entries = S * S**t
+    if max(total_states, 2**K, mask_entries) > size_cap:
         raise SizeCapExceeded(
-            f"{S}^{K} = {total_states} placements ({2**K} subsets per server) "
-            f"exceeds the size cap {size_cap}"
+            f"{S}^{K} = {total_states} placements ({2**K} subsets per server, "
+            f"{mask_entries} subset-mask entries) exceeds the size cap {size_cap}"
         )
 
     ok = _subset_feasibility(inst, samples, allowed_overloads(params))
@@ -127,9 +132,6 @@ def exact_solve(
 
     # a[k] is component k's server: for the t leading components an index
     # array along grid axis k, for the trailing ones the block's digit.
-    t = min(K, 1)
-    while t < K and S ** (t + 1) <= STATE_BLOCK:
-        t += 1
     n_blocks = S ** (K - t)
     a = [*np.ix_(*[np.arange(S)] * t), *[0] * (K - t)]
     lead_cost = add_terms(np.zeros((1,) * t), a, range(t))

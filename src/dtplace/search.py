@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from .stage import QuadraticModel
 
 MAX_TRIES = 10000  # uniform draws before the random start falls back to the greedy
+SCREEN_SCENARIOS = 64  # leading scenarios every random-start draw is first counted on
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,21 +238,29 @@ def random_feasible_state(
     """Uniform rejection sampling of a feasible placement, greedy fallback.
 
     Draws components-to-servers uniformly and keeps the first draw whose
-    overload counts all stay within budget. After ``MAX_TRIES`` rejections,
-    runs the shared first-fit greedy (:func:`_greedy_fill`) with components
-    in random order and servers ranked by their current worst excess;
-    raises :class:`NoFeasibleState` when that also fails.
+    overload counts all stay within budget. Each draw is screened on the
+    first ``SCREEN_SCENARIOS`` scenarios, one :func:`saa.load_matrix` call,
+    and rejected when a server already exceeds the budget there: a scenario's
+    load is the same float at any sample width, so the screen's count is a
+    lower bound on the full one. A draw that passes is counted over every
+    scenario by :func:`make_state`. After ``MAX_TRIES`` rejections, runs the
+    shared first-fit greedy (:func:`_greedy_fill`) with components in random
+    order and servers ranked by their current worst excess; raises
+    :class:`NoFeasibleState` when that also fails.
     """
     check_theta(samples, params)
     rng = stream(seed, "search")
     K, S = inst.total_components, inst.num_servers
     budget = allowed_overloads(params)
     cap = inst.capacities
+    head = SampleSet(np.ascontiguousarray(samples.cycles[:, :SCREEN_SCENARIOS]))
     for _ in range(MAX_TRIES):
         assignment = rng.integers(0, S, size=K)
-        counts = (load_matrix(inst, samples, assignment) > cap[:, None]).sum(axis=1)
+        counts = (load_matrix(inst, head, assignment) > cap[:, None]).sum(axis=1)
         if (counts <= budget).all():
-            return make_state(inst, samples, params, Placement(tuple(int(s) for s in assignment)))
+            state = make_state(inst, samples, params, Placement(tuple(assignment.tolist())))
+            if is_feasible(state.profile, params):
+                return state
     return _greedy_fill(
         inst, samples, params, rng.permutation(K), lambda k, load: (load - cap[:, None]).max(axis=1)
     )

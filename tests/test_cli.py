@@ -129,6 +129,19 @@ def test_oracle_respects_size_cap(instance_file, capsys):
     assert rc == 2
 
 
+def test_oracle_size_cap_counts_the_leading_subset_masks(tmp_path, capsys):
+    # 40 placements fit the cap; the 40 x 40 subset-mask entries do not.
+    path = tmp_path / "wide.json"
+    gen = ["gen", "--servers", "40", "--devices", "1", "--components", "1..1", "--seed", "7"]
+    assert main([*gen, "--out", str(path)]) == 0
+    capsys.readouterr()
+    rc = main(["oracle", *common_flags(path), "--size-cap", "1000"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "1600 subset-mask entries" in captured.err
+
+
 def test_validate_command(tmp_path, instance_file, capsys):
     solve_out = tmp_path / "solve.json"
     main(["solve", *common_flags(instance_file), "--out", str(solve_out)])

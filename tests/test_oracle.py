@@ -406,6 +406,26 @@ def test_size_cap_counts_subsets_per_server():
     assert exact_solve(inst, samples, params, size_cap=8).states_enumerated == 1
 
 
+def test_size_cap_counts_the_leading_subset_masks():
+    # 40 placements and 2 subsets per server fit a cap of 1000; the shared
+    # masks of the one leading component take 40 x 40 = 1,600 entries.
+    inst = generate_instance(GenConfig(num_servers=40, num_devices=1, components_range=(1, 1)), 7)
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = draw_samples(inst, params, 1)
+    with pytest.raises(SizeCapExceeded, match="1600 subset-mask entries"):
+        exact_solve(inst, samples, params, size_cap=1000)
+    assert exact_solve(inst, samples, params, size_cap=1600).states_enumerated == 40
+
+
+def test_size_cap_shrinks_the_leading_block_to_fit_its_masks():
+    # 20 servers x 2 components: one 400-placement block would need 8,000
+    # mask entries; under a cap of 1000 the blocks hold one component.
+    inst = generate_instance(GenConfig(num_servers=20, num_devices=1, components_range=(2, 2)), 7)
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = draw_samples(inst, params, 1)
+    assert exact_solve(inst, samples, params, size_cap=1000) == exact_solve(inst, samples, params)
+
+
 def test_load_equal_to_capacity_is_not_an_overload():
     inst = build_instance(
         servers=[(0, 0, 1.0, 10.0), (30, 0, 1.0, 1e9)],

@@ -22,6 +22,7 @@ from dtplace import (
     overload_profile,
     validate_p1_feasibility,
 )
+from dtplace import saa
 from dtplace.saa import load_matrix, server_load
 
 from conftest import build_instance, constant_samples
@@ -53,6 +54,59 @@ def test_load_matrix_matches_the_per_server_formula(seed, num_components, extra_
     assert np.array_equal(load_matrix(inst, samples, assignment), expected)
     for s in range(S):
         assert np.array_equal(server_load(inst, samples, assignment == s, s), expected[s])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_components=st.integers(1, 40),
+    used_servers=st.integers(1, 4),
+    empty_servers=st.integers(0, 3),
+    theta=st.sampled_from([1, 2, 64, saa.BINCOUNT_THETA, saa.BINCOUNT_THETA + 1]),
+    bincount_theta=st.sampled_from([0, saa.BINCOUNT_THETA]),
+)
+def test_load_matrix_is_bitwise_the_stacked_server_loads(
+    seed, num_components, used_servers, empty_servers, theta, bincount_theta
+):
+    # Both kernels (BINCOUNT_THETA = 0 adds rows at every width), on both
+    # sides of the switch; crowded servers, so theta = 1 columns of 8 or
+    # more members occur, where a column sum turns pairwise; servers the
+    # assignment leaves empty.
+    rng = np.random.default_rng(seed)
+    K, S = num_components, used_servers + empty_servers
+    inst = build_instance(
+        servers=[(0, 0, rng.uniform(0.5, 10.0), 1e9) for _ in range(S)],
+        devices=[(0, 0, [(1.0, 100.0, (0.0,))]) for _ in range(K)],
+        unit_cost=0.5,
+    )
+    samples = SampleSet(cycles=10.0 ** rng.uniform(-3.0, 3.0, size=(K, theta)))
+    assignment = rng.permutation(S)[rng.integers(0, used_servers, size=K)]
+    expected = np.stack([server_load(inst, samples, assignment == s, s) for s in range(S)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(saa, "BINCOUNT_THETA", bincount_theta)
+        load = load_matrix(inst, samples, assignment)
+    assert load.shape == (S, theta) and load.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("bincount_theta", [0, saa.BINCOUNT_THETA])
+def test_load_matrix_accumulates_a_single_scenario(bincount_theta, monkeypatch):
+    # Nine members on server 1 of three at theta = 1: the sum runs left to
+    # right from 0, so each 1.0 added to 2^53 rounds away, where a pairwise
+    # sum would keep some. Server 0 is empty, server 2 hosts one member.
+    monkeypatch.setattr(saa, "BINCOUNT_THETA", bincount_theta)
+    inst = build_instance(
+        servers=[(0, 0, 3.0, 1e30), (0, 0, 1.0, 1e30), (0, 0, 0.5, 1e30)],
+        devices=[(0, 0, [(1.0, 100.0, (0.0,))]) for _ in range(10)],
+        unit_cost=0.5,
+    )
+    cycles = np.array([[2.0**53], *[[1.0]] * 8, [7.0]])
+    samples = SampleSet(cycles=cycles)
+    assignment = np.array([1] * 9 + [2])
+    load = load_matrix(inst, samples, assignment)
+    assert load.tobytes() == np.array([[0.0], [2.0**53], [3.5]]).tobytes()
+    assert load.tobytes() == np.stack(
+        [server_load(inst, samples, assignment == s, s) for s in range(3)]
+    ).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -31,8 +31,10 @@ from dtplace import (
     random_feasible_state,
     stage_search,
 )
+from dtplace import search
 from dtplace.saa import load_matrix
 from dtplace.search import _Workspace
+from dtplace.seeding import stream
 
 from conftest import build_instance, constant_samples, greedy_fallback_case, rounding_boundary_case
 
@@ -314,6 +316,95 @@ def test_random_feasible_state_raises_when_impossible(monkeypatch):
     samples = constant_samples(inst, [5.0], theta=10)
     with pytest.raises(NoFeasibleState):
         random_feasible_state(inst, samples, params, 1)
+
+
+def reference_random_start(inst, samples, params, seed):
+    """The random start without its head screen: every draw is counted over
+    all scenarios by ``overload_profile``; the same stream then feeds the
+    greedy fallback. Returns the placement or raises NoFeasibleState."""
+    rng = stream(seed, "search")
+    K, S = inst.total_components, inst.num_servers
+    for _ in range(search.MAX_TRIES):
+        pl = Placement(tuple(rng.integers(0, S, size=K).tolist()))
+        if is_feasible(overload_profile(inst, samples, pl, params), params):
+            return pl
+    cap = inst.capacities[:, None]
+    rank = lambda k, load: (load - cap).max(axis=1)  # noqa: E731
+    return search._greedy_fill(inst, samples, params, rng.permutation(K), rank).placement
+
+
+@st.composite
+def random_start_cases(draw):
+    """Single-component devices on servers whose capacity is 0.8-2.5 times
+    the mean load of an even split, so draws are often near the budget.
+    ``integral`` makes rates, capacities and cycles whole numbers, so loads
+    often equal capacity inside the screened scenarios. Past them, cycles
+    may be scaled up, so a draw can pass the screen and fail the full count,
+    or down, so a feasible draw has its overloads in the screened ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S, K = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    theta = draw(st.sampled_from([1, 2, 63, 64, 65, 200]))
+    integral = draw(st.booleans())
+    if integral:
+        rates = rng.integers(1, 3, size=S).astype(np.float64)
+        cycles = rng.integers(1, 6, size=(K, theta)).astype(np.float64)
+    else:
+        rates = rng.uniform(1.0, 3.0, size=S)
+        cycles = rng.uniform(1.0, 5.0, size=(K, theta))
+    cycles[:, search.SCREEN_SCENARIOS :] *= draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+    caps = rates * 3.0 * -(-K // S) * rng.uniform(0.8, 2.5, size=S)
+    if integral:
+        caps = np.floor(caps)
+    if draw(st.booleans()):  # identical servers
+        rates[:], caps[:] = rates[0], caps[0]
+    inst = build_instance(
+        servers=[(10.0 * s, 0, rates[s], caps[s]) for s in range(S)],
+        devices=[(5.0 * k, 5.0, [(3.0, 100.0, (0.0,))]) for k in range(K)],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.9, epsilon=draw(st.sampled_from([0.005, 0.05, 0.25])), theta=theta)
+    tries = draw(st.sampled_from([1, 4, 200]))
+    return inst, SampleSet(cycles=cycles), params, int(rng.integers(2**32)), tries
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_start_cases())
+def test_screened_random_start_matches_the_unscreened_reference(case):
+    # A MAX_TRIES of 1 or 4 often reaches the greedy fallback.
+    inst, samples, params, seed, tries = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "MAX_TRIES", tries)
+        try:
+            expected = reference_random_start(inst, samples, params, seed)
+        except NoFeasibleState:
+            with pytest.raises(NoFeasibleState):
+                random_feasible_state(inst, samples, params, seed)
+            return
+        state = random_feasible_state(inst, samples, params, seed)
+    assert state.placement == expected
+    scratch = overload_profile(inst, samples, expected, params)
+    assert np.array_equal(state.profile.overload_count, scratch.overload_count)
+
+
+def test_random_start_rejects_a_draw_that_overloads_past_the_head(monkeypatch):
+    # Server 0 holds the component in the screened scenarios but not in the
+    # one after them, where the budget is 0: a draw onto it passes the
+    # screen and must still be rejected by the full count.
+    monkeypatch.setattr(search, "MAX_TRIES", 40)
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 4.0), (10, 0, 1.0, 1e9)],
+        devices=[(5, 0, [(3.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    theta = search.SCREEN_SCENARIOS + 1
+    cycles = np.full((1, theta), 3.0)
+    cycles[0, -1] = 5.0
+    samples = SampleSet(cycles=cycles)
+    params = SaaParams(alpha=0.01, epsilon=0.01, theta=theta)
+    assert stream(0, "search").integers(0, 2, size=1)[0] == 0  # passes the screen only
+    state = random_feasible_state(inst, samples, params, 0)
+    assert state.placement.servers == (1,)
+    assert state.placement == reference_random_start(inst, samples, params, 0)
 
 
 def test_every_visited_state_is_feasible():
