@@ -23,6 +23,7 @@ from .domain import (
     instance_from_dict,
     instance_to_dict,
     validate_instance,
+    whole,
 )
 from .errors import ConfigurationError, NoFeasibleState, SizeCapExceeded
 from .harness import (
@@ -46,16 +47,6 @@ def _parse_components(text: str) -> tuple[int, int]:
         raise ConfigurationError(f"components must look like LO..HI, got {text!r}") from exc
 
 
-def _load_json(path: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # bad JSON or bytes that are not text
-        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _dump_json(data, path: str | None) -> None:
     text = json.dumps(data, indent=2)
     if path:
@@ -65,12 +56,31 @@ def _dump_json(data, path: str | None) -> None:
         print(text)
 
 
-def _load_instance(path: str) -> Instance:
-    data = _load_json(path)
+def _read(path: str, what: str, parse):
+    """``parse`` of the JSON file at ``path``. An unreadable file, a missing key,
+    a value of the wrong type or range, a number :func:`~dtplace.domain.whole` or
+    :func:`~dtplace.domain.real` refuses, or an integer numpy cannot convert
+    raises a one-line :class:`ConfigurationError`."""
     try:
-        inst = instance_from_dict(data["instance"] if "instance" in data else data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed instance {path}: {exc!r}") from exc
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # bad JSON or bytes that are not text
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise ConfigurationError(f"malformed {what} {path}: {exc!r}") from exc
+
+
+def _load_instance(path: str) -> Instance:
+    def parse(data):
+        return instance_from_dict(data["instance"] if "instance" in data else data)
+
+    inst = _read(path, "instance", parse)
     problems = validate_instance(inst)
     if problems:
         raise ConfigurationError(f"invalid instance {path}: " + "; ".join(problems))
@@ -91,14 +101,8 @@ def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
 def samples_from_dict(data: dict) -> SampleSet:
     if not isinstance(data, dict):
         raise ConfigurationError(f"sample file must be a JSON object, got {type(data).__name__}")
-    missing = [key for key in ("components", "theta", "cycles") if key not in data]
-    if missing:
-        raise ConfigurationError(f"sample file is missing {', '.join(missing)}")
-    try:
-        cycles = np.array(data["cycles"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"sample file cycles are not a numeric matrix: {exc}") from exc
-    if cycles.shape != (data["components"], data["theta"]):
+    cycles = np.array(data["cycles"], dtype=np.float64)
+    if cycles.shape != (whole(data["components"]), whole(data["theta"])):
         raise ConfigurationError("sample file dimensions do not match its header")
     if not (np.isfinite(cycles) & (cycles > 0)).all():
         raise ConfigurationError("sample file cycles must be finite and positive")
@@ -118,7 +122,7 @@ def _load_problem(args) -> tuple[Instance, SaaParams, SampleSet]:
         theta = SaaParams.theta if args.theta is None else args.theta
         params = SaaParams(alpha=args.alpha, epsilon=args.epsilon, theta=theta)
         return inst, params, draw_samples(inst, params, args.seed)
-    samples = samples_from_dict(_load_json(args.samples))
+    samples = _read(args.samples, "sample file", samples_from_dict)
     if samples.cycles.shape[0] != inst.total_components:
         raise ConfigurationError("sample file was drawn for a different number of components")
     if args.theta is not None and args.theta != samples.theta:
@@ -193,14 +197,15 @@ def _cmd_oracle(args) -> int:
         return 0
     print(f"optimum: {result.optimum:.6f}")
     print(f"states_enumerated: {result.states_enumerated}")
-    for dev, comp, srv in placement_to_triples(inst, result.argmin):
+    triples = placement_to_triples(inst, result.argmin)
+    for dev, comp, srv in triples:
         print(f"device {dev} component {comp} -> server {srv}")
     if args.out:
         _dump_json(
             {
                 "optimum": result.optimum,
                 "states_enumerated": result.states_enumerated,
-                "placement": [list(t) for t in placement_to_triples(inst, result.argmin)],
+                "placement": [list(t) for t in triples],
             },
             args.out,
         )
@@ -208,12 +213,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    raw = _load_json(args.config)
-    if isinstance(raw, dict):  # from_dict rejects anything else
-        for key, value in (("master_seed", args.seed), ("replications", args.replications)):
-            if value is not None:
-                raw[key] = value
-    cfg = ExperimentConfig.from_dict(raw)
+    def parse(raw):
+        if isinstance(raw, dict):  # from_dict rejects anything else
+            for key, value in (("master_seed", args.seed), ("replications", args.replications)):
+                if value is not None:
+                    raw[key] = value
+        return ExperimentConfig.from_dict(raw)
+
+    cfg = _read(args.config, "experiment config", parse)
     # Fail on an output path that cannot be made before the sweep runs.
     Path(args.out).mkdir(parents=True, exist_ok=True)
     data = run_experiment_full(cfg)
@@ -225,12 +232,11 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
-    data = _load_json(args.placement)
-    try:
-        triples = data["placement"] if isinstance(data, dict) else data
-        placement = placement_from_triples(inst, triples)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigurationError(f"malformed placement {args.placement}: {exc!r}") from exc
+
+    def parse(data):
+        return placement_from_triples(inst, data["placement"] if isinstance(data, dict) else data)
+
+    placement = _read(args.placement, "placement", parse)
     proportion = validate_p1_feasibility(
         inst, placement, args.alpha, args.validation_theta, args.seed
     )

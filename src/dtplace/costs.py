@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance
+from .domain import Instance, whole
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,16 @@ def measure(inst: Instance, pl: Placement) -> tuple[CostBreakdown, FeatureVector
 
 
 def placement_to_triples(inst: Instance, pl: Placement) -> list[tuple[int, int, int]]:
-    """(device_id, component_id, server_id) triples using 1-based labels."""
-    a = _assignment(inst, pl)
-    out = []
-    for k, s in enumerate(a):
-        d = int(inst.component_device[k])
-        c = int(inst.component_local_index[k])
-        out.append((inst.devices[d].id, inst.devices[d].components[c].id, inst.servers[int(s)].id))
-    return out
+    """(device, component, server) triples of 1-based positions, in flat component order."""
+    labels = (inst.component_device, inst.component_local_index, _assignment(inst, pl))
+    return list(zip(*((x + 1).tolist() for x in labels)))
 
 
 def placement_from_triples(inst: Instance, triples) -> Placement:
     """Inverse of :func:`placement_to_triples`; every component must appear once."""
     servers = [-1] * inst.total_components
     for dev_id, comp_id, srv_id in triples:
-        d, c, s = int(dev_id) - 1, int(comp_id) - 1, int(srv_id) - 1
+        d, c, s = whole(dev_id) - 1, whole(comp_id) - 1, whole(srv_id) - 1
         _check_range(d, inst.num_devices, "device")
         _check_range(c, len(inst.devices[d].components), "component")
         _check_range(s, inst.num_servers, "server")

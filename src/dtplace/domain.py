@@ -38,7 +38,6 @@ def manhattan(p: Point, q: Point) -> float:
 class EdgeServer:
     """Heterogeneous edge server: per-cycle cost rate and a cost budget."""
 
-    id: int  # 1-based label
     position: Point
     cost_per_cycle: float  # cost units per CPU cycle
     capacity: float  # maximum computation cost the server tolerates
@@ -53,7 +52,6 @@ class DtComponent:
     across the device's components with a zero self-entry.
     """
 
-    id: int  # 1-based label within the device
     mean_cycles: float  # base of the component's CPU-cycle distribution
     offload_kb: float
     exchange_kb: tuple[float, ...]
@@ -61,7 +59,6 @@ class DtComponent:
 
 @dataclass(frozen=True)
 class PhysicalDevice:
-    id: int  # 1-based label
     position: Point
     components: tuple[DtComponent, ...]
 
@@ -110,7 +107,7 @@ class Instance:
                 row = np.asarray(comp.exchange_kb, dtype=np.float64)
                 if row.shape != (hi - lo,):
                     raise ValueError(
-                        f"device {dev.id} component {comp.id} exchange vector length "
+                        f"device {d + 1} component {c + 1} exchange vector length "
                         f"{row.size}, expected {hi - lo}"
                     )
                 sib_index[lo + c, : hi - lo - 1] = [*range(lo, lo + c), *range(lo + c + 1, hi)]
@@ -214,7 +211,7 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
         base = rng.uniform(1.0, 10.0)
         rate = _positive_normal(rng, base, 0.2 * base)
         cap = float(rng.uniform(0.3e9, 0.4e9))
-        servers.append(EdgeServer(id=s + 1, position=pos, cost_per_cycle=rate, capacity=cap))
+        servers.append(EdgeServer(position=pos, cost_per_cycle=rate, capacity=cap))
 
     devices = []
     lo, hi = cfg.components_range
@@ -231,14 +228,13 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
                 g[c, c2] = g[c2, c] = rng.uniform(50.0, 250.0)
         comps = tuple(
             DtComponent(
-                id=c + 1,
                 mean_cycles=mean_cycles,
                 offload_kb=offloads[c],
                 exchange_kb=tuple(float(v) for v in g[c]),
             )
             for c in range(n_comp)
         )
-        devices.append(PhysicalDevice(id=d + 1, position=pos, components=comps))
+        devices.append(PhysicalDevice(position=pos, components=comps))
 
     unit_cost = float(rng.uniform(0.0, 1.0))
     return Instance(servers=tuple(servers), devices=tuple(devices), unit_transport_cost=unit_cost)
@@ -259,33 +255,26 @@ def validate_instance(inst: Instance) -> list[str]:
     if not 0 <= inst.unit_transport_cost < math.inf:
         out.append("unit_transport_cost negative or not finite")
 
-    for pos_owner, pos in [(f"server {s.id}", s.position) for s in inst.servers] + [
-        (f"device {d.id}", d.position) for d in inst.devices
-    ]:
-        if not (0 <= pos.x < math.inf and 0 <= pos.y < math.inf):
-            out.append(f"{pos_owner} has a negative or non-finite coordinate")
+    for kind, entities in (("server", inst.servers), ("device", inst.devices)):
+        for i, pos in enumerate(e.position for e in entities):
+            if not (0 <= pos.x < math.inf and 0 <= pos.y < math.inf):
+                out.append(f"{kind} {i + 1} has a negative or non-finite coordinate")
     for name in ("dist_server_device", "dist_server_server"):
         if not np.isfinite(getattr(inst, name)).all():
             out.append(f"{name} has a non-finite entry")
 
     for i, srv in enumerate(inst.servers):
-        if srv.id != i + 1:
-            out.append(f"server at position {i} has id {srv.id}, expected {i + 1}")
         if not 0 < srv.cost_per_cycle < math.inf:
-            out.append(f"server {srv.id} cost_per_cycle not positive and finite")
+            out.append(f"server {i + 1} cost_per_cycle not positive and finite")
         if not 0 < srv.capacity < math.inf:
-            out.append(f"server {srv.id} capacity not positive and finite")
+            out.append(f"server {i + 1} capacity not positive and finite")
 
     for i, dev in enumerate(inst.devices):
-        if dev.id != i + 1:
-            out.append(f"device at position {i} has id {dev.id}, expected {i + 1}")
         n = len(dev.components)
         if n < 1:
-            out.append(f"device {dev.id} has no components")
+            out.append(f"device {i + 1} has no components")
         for j, comp in enumerate(dev.components):
-            if comp.id != j + 1:
-                out.append(f"device {dev.id} component at position {j} has id {comp.id}")
-            label = f"device {dev.id} component {comp.id}"
+            label = f"device {i + 1} component {j + 1}"
             if not 0 < comp.mean_cycles < math.inf:
                 out.append(f"{label} mean_cycles not positive and finite")
             if not 0 < comp.offload_kb < math.inf:
@@ -296,12 +285,12 @@ def validate_instance(inst: Instance) -> list[str]:
         for c in range(n):
             row = dev.components[c].exchange_kb
             if row[c] != 0:
-                out.append(f"device {dev.id} exchange matrix has nonzero self-entry at {c + 1}")
+                out.append(f"device {i + 1} exchange matrix has nonzero self-entry at {c + 1}")
             for c2 in range(c + 1, n):
                 other = dev.components[c2].exchange_kb
                 if row[c2] != other[c]:
                     out.append(
-                        f"device {dev.id} exchange matrix asymmetric at ({c + 1}, {c2 + 1})"
+                        f"device {i + 1} exchange matrix asymmetric at ({c + 1}, {c2 + 1})"
                     )
     if not out:
         out += _overflow_problems(inst)
@@ -332,33 +321,58 @@ def instance_to_dict(inst: Instance) -> dict:
     return {
         "servers": [
             {
-                "id": s.id,
+                "id": i + 1,
                 "x": s.position.x,
                 "y": s.position.y,
                 "cost_per_cycle": s.cost_per_cycle,
                 "capacity": s.capacity,
             }
-            for s in inst.servers
+            for i, s in enumerate(inst.servers)
         ],
         "devices": [
             {
-                "id": d.id,
+                "id": i + 1,
                 "x": d.position.x,
                 "y": d.position.y,
                 "components": [
                     {
-                        "id": c.id,
+                        "id": j + 1,
                         "mean_cycles": c.mean_cycles,
                         "offload_kb": c.offload_kb,
                         "exchange_kb": list(c.exchange_kb),
                     }
-                    for c in d.components
+                    for j, c in enumerate(d.components)
                 ],
             }
-            for d in inst.devices
+            for i, d in enumerate(inst.devices)
         ],
         "unit_transport_cost": inst.unit_transport_cost,
     }
+
+
+def whole(value) -> int:
+    """``int(value)`` for a number read from a file, refusing bools and fractions."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def real(value) -> float:
+    """``float(value)`` for a number read from a file, refusing bools and huge integers."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("expected a number, got an integer too large for a float") from None
+
+
+def _positioned(entries, owner: str):
+    """A file's list of entries, each of whose ``id`` must be its 1-based position."""
+    for i, entry in enumerate(entries):
+        if whole(entry["id"]) != i + 1:
+            raise ValueError(f"{owner} at position {i} has id {entry['id']!r}, expected {i + 1}")
+    return entries
 
 
 def instance_from_dict(data: dict) -> Instance:
@@ -366,31 +380,28 @@ def instance_from_dict(data: dict) -> Instance:
     matrices older files carry, are ignored: distances follow from positions."""
     servers = tuple(
         EdgeServer(
-            id=int(s["id"]),
-            position=Point(float(s["x"]), float(s["y"])),
-            cost_per_cycle=float(s["cost_per_cycle"]),
-            capacity=float(s["capacity"]),
+            position=Point(real(s["x"]), real(s["y"])),
+            cost_per_cycle=real(s["cost_per_cycle"]),
+            capacity=real(s["capacity"]),
         )
-        for s in data["servers"]
+        for s in _positioned(data["servers"], "server")
     )
     devices = tuple(
         PhysicalDevice(
-            id=int(d["id"]),
-            position=Point(float(d["x"]), float(d["y"])),
+            position=Point(real(d["x"]), real(d["y"])),
             components=tuple(
                 DtComponent(
-                    id=int(c["id"]),
-                    mean_cycles=float(c["mean_cycles"]),
-                    offload_kb=float(c["offload_kb"]),
-                    exchange_kb=tuple(float(v) for v in c["exchange_kb"]),
+                    mean_cycles=real(c["mean_cycles"]),
+                    offload_kb=real(c["offload_kb"]),
+                    exchange_kb=tuple(real(v) for v in c["exchange_kb"]),
                 )
-                for c in d["components"]
+                for c in _positioned(d["components"], f"device {i + 1} component")
             ),
         )
-        for d in data["devices"]
+        for i, d in enumerate(_positioned(data["devices"], "device"))
     )
     return Instance(
         servers=servers,
         devices=devices,
-        unit_transport_cost=float(data["unit_transport_cost"]),
+        unit_transport_cost=real(data["unit_transport_cost"]),
     )

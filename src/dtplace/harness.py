@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import baseline_nearest, baseline_random_best, baseline_restart_hillclimb
 from .costs import Placement
-from .domain import GenConfig, Instance, generate_instance
+from .domain import GenConfig, Instance, generate_instance, real, whole
 from .errors import ConfigurationError, NoFeasibleState
 from .saa import SaaParams, SampleSet, draw_samples, overload_profile
 from .search import RunSummary
@@ -31,25 +31,11 @@ AXIS_SERVERS = "servers"
 AXIS_DEVICES = "devices"
 
 
-def _whole(value) -> int:
-    """``int(value)`` for a config value, refusing bools and fractions."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
-
-
-def _real(value) -> float:
-    """``float(value)`` for a config value, refusing bools."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _whole_list(value) -> tuple[int, ...]:
     """A config list of whole numbers; a string is not iterated digit by digit."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"expected a list, got {value!r}")
-    return tuple(_whole(v) for v in value)
+    return tuple(whole(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -73,12 +59,13 @@ class ExperimentConfig:
         required. The optional keys are the other fields plus the fields of
         :class:`SaaParams` and :class:`StageConfig`, flattened; an absent key
         keeps its dataclass default, which the CLI flags read as well. Every
-        value goes through ``int()`` or ``float()``, but nothing is truncated:
-        a bool, a number with a fractional part for a whole-number field and
-        a string for a list are refused. Anything that does not convert, a
-        missing key, a key that is none of the above (a typo would otherwise
-        run at the default) and an invalid value raise
-        :class:`ConfigurationError`.
+        value goes through :func:`~dtplace.domain.whole` or
+        :func:`~dtplace.domain.real`, so nothing is truncated: a bool, a
+        number with a fractional part for a whole-number field, an integer
+        too large for a float and a string for a list are refused. Anything
+        that does not convert, a missing key, a key that is none of the
+        above (a typo would otherwise run at the default) and an invalid
+        value raise :class:`ConfigurationError`.
         """
         if not isinstance(raw, dict):
             raise ConfigurationError(
@@ -97,12 +84,12 @@ class ExperimentConfig:
             cfg = cls(
                 axis=raw["axis"],
                 axis_values=_whole_list(raw["axis_values"]),
-                replications=_whole(raw["replications"]),
-                master_seed=_whole(raw["master_seed"]),
+                replications=whole(raw["replications"]),
+                master_seed=whole(raw["master_seed"]),
                 components_range=(lo, hi),
-                saa=SaaParams(**present(alpha=_real, epsilon=_real, theta=_whole)),
-                stage=StageConfig(**present(delta=_real, max_iterations=_whole)),
-                **present(num_servers=_whole, num_devices=_whole, baseline_trials=_whole),
+                saa=SaaParams(**present(alpha=real, epsilon=real, theta=whole)),
+                stage=StageConfig(**present(delta=real, max_iterations=whole)),
+                **present(num_servers=whole, num_devices=whole, baseline_trials=whole),
             )
         except ConfigurationError:
             raise

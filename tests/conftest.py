@@ -26,21 +26,20 @@ def build_instance(servers, devices, unit_cost):
     devices: list of (x, y, [(mean_cycles, offload_kb, exchange_row), ...])
     """
     srv = tuple(
-        EdgeServer(id=i + 1, position=Point(x, y), cost_per_cycle=rate, capacity=cap)
-        for i, (x, y, rate, cap) in enumerate(servers)
+        EdgeServer(position=Point(x, y), cost_per_cycle=rate, capacity=cap)
+        for x, y, rate, cap in servers
     )
     dev = []
-    for i, (x, y, comps) in enumerate(devices):
+    for x, y, comps in devices:
         components = tuple(
             DtComponent(
-                id=j + 1,
                 mean_cycles=mean,
                 offload_kb=kb,
                 exchange_kb=tuple(row),
             )
-            for j, (mean, kb, row) in enumerate(comps)
+            for mean, kb, row in comps
         )
-        dev.append(PhysicalDevice(id=i + 1, position=Point(x, y), components=components))
+        dev.append(PhysicalDevice(position=Point(x, y), components=components))
     return Instance(servers=srv, devices=tuple(dev), unit_transport_cost=unit_cost)
 
 

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dtplace import GenConfig, generate_instance, instance_to_dict
 from dtplace import cli
@@ -42,6 +48,23 @@ def test_gen_writes_instance(instance_file):
     assert not any(key.startswith("dist_") for key in data["instance"])
 
 
+def test_gen_output_is_pinned(capsys):
+    """``gen`` output is pinned byte for byte, so instance files written
+    before the entities dropped their stored ids still match; each ``id`` is
+    the entry's 1-based position."""
+    argv = ["gen", "--servers", "3", "--devices", "4", "--components", "1..3", "--seed", "5"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "477b864a903054a475c5d354f4ea952d7fa2616635d5f1b5cb06f0f1d42428cc"
+    )
+    data = instance_to_dict(generate_instance(GenConfig(3, 4, (1, 3)), 5))
+    assert [s["id"] for s in data["servers"]] == [1, 2, 3]
+    assert [d["id"] for d in data["devices"]] == [1, 2, 3, 4]
+    for d in data["devices"]:
+        assert [c["id"] for c in d["components"]] == list(range(1, len(d["components"]) + 1))
+
+
 def test_gen_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -61,6 +84,18 @@ def test_gen_file_regenerates_its_instance(tmp_path):
     assert set(data["gen_config"]) == {f.name for f in fields(GenConfig)}
     again = generate_instance(GenConfig(**data["gen_config"]), data["seed"])
     assert json.dumps(instance_to_dict(again), indent=2) == json.dumps(data["instance"], indent=2)
+
+
+# A 400-digit integer: json.dumps writes it as a raw JSON literal, which
+# float() cannot convert.
+HUGE = int("9" * 400)
+
+
+def one_line_error(capsys) -> str:
+    """The captured stderr, asserted to be one ``configuration error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    return err
 
 
 def common_flags(instance_file):
@@ -464,8 +499,10 @@ def test_negative_seed_exits_2(tmp_path, instance_file, command, capsys):
         lambda d: d["cycles"][0].__setitem__(0, 0.0),
         lambda d: d["cycles"][1].__setitem__(2, -5.0),
         lambda d: d["cycles"][1].pop(),
+        lambda d: d["cycles"][0].__setitem__(0, HUGE),
     ],
-    ids=["no-components", "no-theta", "no-cycles", "nan", "inf", "zero", "negative", "ragged"],
+    ids=["no-components", "no-theta", "no-cycles", "nan", "inf", "zero", "negative", "ragged",
+         "huge"],
 )
 def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys):
     from dtplace import SaaParams, draw_samples, instance_from_dict
@@ -478,7 +515,7 @@ def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys)
     path.write_text(json.dumps(payload))
     rc = main(["oracle", *common_flags(instance_file), "--samples", str(path)])
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert one_line_error(capsys)
 
 
 @pytest.mark.parametrize("text", ["5", "null", '"x"'], ids=["number", "null", "string"])
@@ -509,6 +546,10 @@ def test_bad_thread_count_exits_2(tmp_path, monkeypatch, value, capsys):
     assert "DTPLACE_THREADS" in capsys.readouterr().err
 
 
+def swap_server_ids(d):
+    d["servers"][0]["id"], d["servers"][1]["id"] = 2, 1
+
+
 def set_exchange(value):
     """Set both entries of device 1's exchange pair (1, 2), keeping it symmetric."""
 
@@ -536,6 +577,12 @@ def set_exchange(value):
          "unit_transport_cost negative or not finite"),
         (lambda d: d["servers"][1].__setitem__("y", float("nan")),
          "server 2 has a negative or non-finite coordinate"),
+        (lambda d: d["servers"][0].__setitem__("id", float("inf")), "whole number"),
+        (lambda d: d["servers"][0].__setitem__("id", 1.7), "whole number"),
+        (lambda d: d["servers"][0].__setitem__("id", True), "whole number"),
+        (swap_server_ids, "server at position 0 has id 2, expected 1"),
+        (lambda d: d["servers"][0].__setitem__("capacity", True), "expected a number"),
+        (lambda d: d["servers"][0].__setitem__("capacity", HUGE), "too large for a float"),
     ],
     ids=[
         "missing-key",
@@ -547,6 +594,12 @@ def set_exchange(value):
         "unit-cost-nan",
         "unit-cost-negative",
         "coordinate-nan",
+        "id-inf",
+        "id-fraction",
+        "id-bool",
+        "ids-swapped",
+        "capacity-bool",
+        "capacity-huge",
     ],
 )
 def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, message, capsys):
@@ -556,7 +609,7 @@ def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, messag
     path.write_text(json.dumps(data))
     rc = main(["oracle", *common_flags(path)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert message in one_line_error(capsys)
 
 
 def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
@@ -587,17 +640,72 @@ def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
         {"placement": [[1, 1, 1], [2, 1]]},
         {"result": []},
         {"placement": [[1, 1, 1], [2, 1, 9]]},
+        *({"placement": [[1, 1, label], [1, 2, 1], [2, 1, 1], [2, 2, 1]]}
+          for label in (float("inf"), 1.9, True, HUGE)),
     ],
-    ids=["two-entry-triple", "no-placement-key", "unknown-server"],
+    ids=["two-entry-triple", "no-placement-key", "unknown-server", "server-inf",
+         "server-fraction", "server-bool", "server-huge"],
 )
 def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, capsys):
     path = tmp_path / "placement.json"
     path.write_text(json.dumps(payload))
     rc = main(["validate", "--instance", str(instance_file), "--placement", str(path), "--seed", "1"])
     assert rc == 2
-    err = capsys.readouterr().err
+    err = one_line_error(capsys)
     assert "malformed placement" in err
     assert str(path) in err
+
+
+def scalar_paths(node, path=()):
+    """Paths to every scalar of a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        return [p for key in keys for p in scalar_paths(node[key], (*path, key))]
+    return [path]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files():
+    """A valid instance (2 servers, 2 devices of 1 or 2 components) and a
+    placement of it, as parsed JSON."""
+    inst = generate_instance(GenConfig(2, 2, (1, 2)), 8)
+    placement = [[d, c, 1] for d, dev in enumerate(inst.devices, 1)
+                 for c in range(1, len(dev.components) + 1)]
+    return {"instance": instance_to_dict(inst), "placement": {"placement": placement}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.sampled_from(["instance", "placement"]),
+    index=st.integers(min_value=0),
+    value=st.sampled_from([True, 1.5, float("inf"), float("nan"), HUGE, "x", None]),
+    command=st.sampled_from(["oracle", "validate"]),
+)
+def test_one_bad_scalar_exits_cleanly(fuzz_files, target, index, value, command):
+    """Any one scalar of a valid instance or placement file replaced by a
+    bool, a fraction, a non-finite or huge number, a string or null: the
+    command succeeds, or exits 2 or 3 with one line on stderr; it never raises."""
+    docs = json.loads(json.dumps(fuzz_files))
+    paths = scalar_paths(docs[target])
+    *parents, last = paths[index % len(paths)]
+    node = docs[target]
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            Path(tmp, f"{name}.json").write_text(json.dumps(doc))
+        flags = ["--instance", str(Path(tmp, "instance.json")), "--seed", "1"]
+        if command == "validate" or target == "placement":
+            argv = ["validate", *flags, "--placement", str(Path(tmp, "placement.json")),
+                    "--validation-theta", "20"]
+        else:
+            argv = ["oracle", *flags, "--alpha", "0.1", "--epsilon", "0.1", "--theta", "20"]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 2, 3)
+    assert err.getvalue().count("\n") == (rc != 0), err.getvalue()
 
 
 MINIMAL_EXPERIMENT = {
@@ -626,10 +734,12 @@ MINIMAL_EXPERIMENT = {
         {"replications": True},
         {"delta": True},
         {"components_range": "13"},
+        {"alpha": HUGE},
     ],
     ids=["axis-values-not-int", "axis-values-not-list", "range-not-int", "range-one-entry",
          "theta-not-number", "top-level-list", "axis-values-string", "axis-value-fraction",
-         "replications-fraction", "replications-bool", "delta-bool", "range-string"],
+         "replications-fraction", "replications-bool", "delta-bool", "range-string",
+         "alpha-huge"],
 )
 def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
     config = [MINIMAL_EXPERIMENT] if change is None else {**MINIMAL_EXPERIMENT, **change}
@@ -637,7 +747,7 @@ def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
     cfg_path.write_text(json.dumps(config))
     rc = main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
-    assert "configuration error" in capsys.readouterr().err
+    assert one_line_error(capsys)
     assert not (tmp_path / "out").exists()
 
 

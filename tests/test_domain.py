@@ -66,7 +66,7 @@ def test_generated_distances_match_recomputation():
 
 
 def test_distance_matrices_are_derived_and_read_only():
-    srv = (EdgeServer(id=1, position=Point(1.0, 2.0), cost_per_cycle=1.0, capacity=1.0),) * 2
+    srv = (EdgeServer(position=Point(1.0, 2.0), cost_per_cycle=1.0, capacity=1.0),) * 2
     inst = Instance(servers=srv, devices=(), unit_transport_cost=0.5)
     assert inst.dist_server_device.shape == (2, 0)
     assert inst.dist_server_server.tolist() == [[0.0, 0.0], [0.0, 0.0]]
