@@ -2,13 +2,15 @@
 
 Subcommands: gen, solve, baseline, oracle, experiment, validate. Instances,
 sample sets, and solve results are JSON files; experiments emit CSV. Exit
-codes: 0 success, 2 configuration error, 3 no feasible placement exists.
+codes: 0 success, 2 configuration error, 3 no feasible placement exists,
+141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -35,8 +37,8 @@ from .harness import (
 )
 from .oracle import DEFAULT_SIZE_CAP, exact_solve
 from .saa import SampleSet, SaaParams, draw_samples
-from .search import RunSummary
-from .stage import StageConfig, write_iteration_log
+from .search import RunSummary, make_state
+from .stage import StageConfig
 
 
 def _parse_components(text: str) -> tuple[int, int]:
@@ -145,6 +147,7 @@ def _result_record(algorithm: str, inst: Instance, run: RunSummary, seed: int) -
         "iterations": run.iterations,
         "converged": run.converged,
         "per_iteration_rho": list(run.per_iteration_optima),
+        "per_iteration_states": list(run.per_iteration_lengths),
         "max_overload_proportion": float(state.profile.proportion.max()),
         "placement": [list(t) for t in placement_to_triples(inst, state.placement)],
     }
@@ -174,8 +177,6 @@ def _cmd_solve(args) -> int:
         _dump_json(samples_to_dict(samples, seed=args.seed), args.samples_out)
     cfg = StageConfig(delta=args.delta, max_iterations=args.max_iterations)
     run = run_algorithm("stage", inst, samples, params, args.seed, stage=cfg)
-    if args.iteration_log:
-        write_iteration_log(run, args.iteration_log)
     record = _result_record("stage", inst, run, args.seed)
     record["final_rho"] = run.final_state.eval.total
     _dump_json(record, args.out)
@@ -193,22 +194,13 @@ def _cmd_oracle(args) -> int:
     inst, params, samples = _load_problem(args)
     result = exact_solve(inst, samples, params, size_cap=args.size_cap)
     if not result.feasible:
-        print(f"infeasible (enumerated {result.states_enumerated} placements)")
-        return 0
-    print(f"optimum: {result.optimum:.6f}")
-    print(f"states_enumerated: {result.states_enumerated}")
-    triples = placement_to_triples(inst, result.argmin)
-    for dev, comp, srv in triples:
-        print(f"device {dev} component {comp} -> server {srv}")
-    if args.out:
-        _dump_json(
-            {
-                "optimum": result.optimum,
-                "states_enumerated": result.states_enumerated,
-                "placement": [list(t) for t in triples],
-            },
-            args.out,
-        )
+        raise NoFeasibleState(f"enumerated all {result.states_enumerated} placements")
+    run = RunSummary(
+        best_state=make_state(inst, samples, params, result.argmin),
+        total_states_visited=result.states_enumerated,
+        iterations=1,
+    )
+    _dump_json(_result_record("oracle", inst, run, args.seed), args.out)
     return 0
 
 
@@ -281,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=StageConfig.delta)
     p.add_argument("--max-iterations", type=int, default=StageConfig.max_iterations)
     p.add_argument("--samples-out", help="persist the drawn sample set for replay")
-    p.add_argument("--iteration-log", help="write the per-iteration CSV log")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
@@ -311,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="fresh-sample overload check of a placement")
     p.add_argument("--instance", required=True)
-    p.add_argument("--placement", required=True, help="solve/baseline result JSON")
+    p.add_argument("--placement", required=True, help="solve, baseline or oracle result JSON")
     p.add_argument("--alpha", type=float, default=SaaParams.alpha)
     p.add_argument("--validation-theta", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
@@ -324,7 +315,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, whatever the buffering
+        return rc
+    except BrokenPipeError:
+        # Nobody reads stdout: send what is still buffered to devnull, so the
+        # interpreter's final flush cannot fail again. 141 = 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Instance, whole
+from .domain import Instance, listed, whole
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,8 @@ def placement_to_triples(inst: Instance, pl: Placement) -> list[tuple[int, int, 
 def placement_from_triples(inst: Instance, triples) -> Placement:
     """Inverse of :func:`placement_to_triples`; every component must appear once."""
     servers = [-1] * inst.total_components
-    for dev_id, comp_id, srv_id in triples:
+    for triple in listed(triples):
+        dev_id, comp_id, srv_id = listed(triple)
         d, c, s = whole(dev_id) - 1, whole(comp_id) - 1, whole(srv_id) - 1
         _check_range(d, inst.num_devices, "device")
         _check_range(c, len(inst.devices[d].components), "component")

@@ -367,9 +367,17 @@ def real(value) -> float:
         raise ValueError("expected a number, got an integer too large for a float") from None
 
 
+def listed(value):
+    """A list read from a file, refusing anything else, so that a string is
+    never read character by character."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 def _positioned(entries, owner: str):
     """A file's list of entries, each of whose ``id`` must be its 1-based position."""
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(listed(entries)):
         if whole(entry["id"]) != i + 1:
             raise ValueError(f"{owner} at position {i} has id {entry['id']!r}, expected {i + 1}")
     return entries
@@ -393,7 +401,7 @@ def instance_from_dict(data: dict) -> Instance:
                 DtComponent(
                     mean_cycles=real(c["mean_cycles"]),
                     offload_kb=real(c["offload_kb"]),
-                    exchange_kb=tuple(real(v) for v in c["exchange_kb"]),
+                    exchange_kb=tuple(real(v) for v in listed(c["exchange_kb"])),
                 )
                 for c in _positioned(d["components"], f"device {i + 1} component")
             ),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import baseline_nearest, baseline_random_best, baseline_restart_hillclimb
 from .costs import Placement
-from .domain import GenConfig, Instance, generate_instance, real, whole
+from .domain import GenConfig, Instance, generate_instance, listed, real, whole
 from .errors import ConfigurationError, NoFeasibleState
 from .saa import SaaParams, SampleSet, draw_samples, overload_profile
 from .search import RunSummary
@@ -29,13 +29,6 @@ from .stage import StageConfig, stage_search
 
 AXIS_SERVERS = "servers"
 AXIS_DEVICES = "devices"
-
-
-def _whole_list(value) -> tuple[int, ...]:
-    """A config list of whole numbers; a string is not iterated digit by digit."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a list, got {value!r}")
-    return tuple(whole(v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -80,10 +73,10 @@ class ExperimentConfig:
             return {key: conv(raw[key]) for key, conv in converters.items() if key in raw}
 
         try:
-            lo, hi = _whole_list(raw.get("components_range", cls.components_range))
+            lo, hi = (whole(v) for v in listed(raw.get("components_range", cls.components_range)))
             cfg = cls(
                 axis=raw["axis"],
-                axis_values=_whole_list(raw["axis_values"]),
+                axis_values=tuple(whole(v) for v in listed(raw["axis_values"])),
                 replications=whole(raw["replications"]),
                 master_seed=whole(raw["master_seed"]),
                 components_range=(lo, hi),

@@ -66,7 +66,7 @@ class SearchStats:
 class RunSummary:
     """What every placement algorithm reports: its best state and the search
     effort behind it. The per-iteration fields and ``final_state`` are the
-    learned-restart search's; baselines leave them empty."""
+    learned-restart search's; the baselines and the oracle leave them empty."""
 
     best_state: SearchState  # lowest-cost state visited
     total_states_visited: int

@@ -9,7 +9,6 @@ loop stops when consecutive local optima agree to within a relative bound.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -197,16 +196,3 @@ def stage_search(
         per_iteration_lengths=tuple(lengths),
         final_state=final,
     )
-
-
-def write_iteration_log(run: RunSummary, path) -> None:
-    """Debug export of a :func:`stage_search` run: one row per outer iteration."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "q_t", "rho_t", "converged"])
-        last = run.iterations
-        for t, (rho, q) in enumerate(
-            zip(run.per_iteration_optima, run.per_iteration_lengths), start=1
-        ):
-            flag = 1 if (run.converged and t == last) else 0
-            writer.writerow([t, q, f"{rho:.6f}", flag])

@@ -4,12 +4,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dtplace import GenConfig, generate_instance, instance_to_dict
 from dtplace import cli
@@ -152,11 +155,90 @@ def test_baseline_commands(tmp_path, instance_file, which):
 
 
 def test_oracle_command(tmp_path, instance_file, capsys):
-    rc = main(["oracle", *common_flags(instance_file)])
+    """The oracle writes the solve record of the library's argmin."""
+    from dtplace import SaaParams, draw_samples, exact_solve, instance_from_dict
+    from dtplace.costs import placement_to_triples
+
+    out = tmp_path / "oracle.json"
+    rc = main(["oracle", *common_flags(instance_file), "--out", str(out)])
     assert rc == 0
-    printed = capsys.readouterr().out
-    assert "optimum:" in printed
-    assert "states_enumerated:" in printed
+    assert capsys.readouterr().out == ""
+    record = json.loads(out.read_text())
+    inst = instance_from_dict(json.loads(instance_file.read_text())["instance"])
+    params = SaaParams(alpha=0.05, epsilon=0.025, theta=50)
+    result = exact_solve(inst, draw_samples(inst, params, 3), params)
+    assert record["algorithm"] == "oracle"
+    assert record["rho"] == result.optimum
+    assert record["placement"] == [list(t) for t in placement_to_triples(inst, result.argmin)]
+    assert record["states_visited"] == inst.num_servers ** inst.total_components
+    assert record["iterations"] == 1
+    rc = main(["validate", "--instance", str(instance_file), "--placement", str(out),
+               "--validation-theta", "200", "--seed", "1"])
+    assert rc == 0
+    assert "verdict:" in capsys.readouterr().out
+
+
+def test_oracle_proving_infeasibility_exits_3(tmp_path, instance_file, capsys):
+    data = json.loads(instance_file.read_text())
+    for server in data["instance"]["servers"]:
+        server["capacity"] = 1.0
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "oracle.json"
+    rc = main(["oracle", *common_flags(path), "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("no feasible placement: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def solving_argvs(instance_file):
+    flags = common_flags(instance_file)
+    return {
+        "solve": ["solve", *flags],
+        **{which: ["baseline", "--which", which, "--trials", "4", *flags]
+           for which in ("random", "restart", "nearest")},
+        "oracle": ["oracle", *flags],
+    }
+
+
+def test_solving_commands_write_one_record_schema(tmp_path, instance_file):
+    keys = {}
+    for name, argv in solving_argvs(instance_file).items():
+        out = tmp_path / f"{name}.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        keys[name] = set(json.loads(out.read_text()))
+    assert keys.pop("solve") == keys["oracle"] | {"final_rho"}
+    assert all(k == keys["oracle"] for k in keys.values()), keys
+
+
+def test_solve_record_lists_the_states_of_each_iteration(tmp_path, instance_file):
+    out = tmp_path / "solve.json"
+    assert main(["solve", *common_flags(instance_file), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["iterations"] > 1
+    assert len(record["per_iteration_states"]) == record["iterations"]
+    assert sum(record["per_iteration_states"]) == record["states_visited"]
+    assert all(q >= 1 for q in record["per_iteration_states"])
+
+
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_closed_stdout_exits_141_quietly(instance_file, command):
+    """A reader that closed stdout ends the command with 141 (128 + SIGPIPE)
+    and no traceback, buffered or not."""
+    argv = solving_argvs(instance_file)[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for unbuffered in ("", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dtplace.cli", *argv], stdout=write,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, ""), unbuffered
 
 
 def test_oracle_respects_size_cap(instance_file, capsys):
@@ -281,16 +363,11 @@ def test_infeasible_instance_exits_3(tmp_path):
 
 def test_solve_side_outputs(tmp_path, instance_file):
     samples_out = tmp_path / "samples.json"
-    log_out = tmp_path / "iters.csv"
-    rc = main(
-        ["solve", *common_flags(instance_file),
-         "--samples-out", str(samples_out), "--iteration-log", str(log_out)]
-    )
+    rc = main(["solve", *common_flags(instance_file), "--samples-out", str(samples_out)])
     assert rc == 0
     payload = json.loads(samples_out.read_text())
     assert payload["theta"] == 50
     assert payload["seed"] == 3
-    assert log_out.read_text().startswith("t,q_t,rho_t,converged")
     # replaying the persisted samples reproduces the run
     reuse = tmp_path / "reuse.json"
     rc = main(["solve", *common_flags(instance_file), "--samples", str(samples_out),
@@ -583,6 +660,8 @@ def set_exchange(value):
         (swap_server_ids, "server at position 0 has id 2, expected 1"),
         (lambda d: d["servers"][0].__setitem__("capacity", True), "expected a number"),
         (lambda d: d["servers"][0].__setitem__("capacity", HUGE), "too large for a float"),
+        (lambda d: [c.__setitem__("exchange_kb", "00") for c in d["devices"][0]["components"]],
+         "expected a list, got '00'"),
     ],
     ids=[
         "missing-key",
@@ -600,6 +679,7 @@ def set_exchange(value):
         "ids-swapped",
         "capacity-bool",
         "capacity-huge",
+        "exchange-string",
     ],
 )
 def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, message, capsys):
@@ -642,9 +722,10 @@ def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
         {"placement": [[1, 1, 1], [2, 1, 9]]},
         *({"placement": [[1, 1, label], [1, 2, 1], [2, 1, 1], [2, 2, 1]]}
           for label in (float("inf"), 1.9, True, HUGE)),
+        {"placement": ["111", "121", "211", "221"]},
     ],
     ids=["two-entry-triple", "no-placement-key", "unknown-server", "server-inf",
-         "server-fraction", "server-bool", "server-huge"],
+         "server-fraction", "server-bool", "server-huge", "digit-string-triples"],
 )
 def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, capsys):
     path = tmp_path / "placement.json"
@@ -685,9 +766,43 @@ def test_one_bad_scalar_exits_cleanly(fuzz_files, target, index, value, command)
     """Any one scalar of a valid instance or placement file replaced by a
     bool, a fraction, a non-finite or huge number, a string or null: the
     command succeeds, or exits 2 or 3 with one line on stderr; it never raises."""
+    paths = scalar_paths(fuzz_files[target])
+    exits_cleanly(fuzz_files, target, paths[index % len(paths)], value, command)
+
+
+def list_paths(node, path=()):
+    """Paths to every list of a parsed JSON document."""
+    if not isinstance(node, (dict, list)):
+        return []
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    inner = [p for key in keys for p in list_paths(node[key], (*path, key))]
+    return [path, *inner] if isinstance(node, list) else inner
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    target=st.sampled_from(["instance", "placement"]),
+    index=st.integers(min_value=0),
+    value=st.sampled_from(["x", "111", "00", {}, {"id": 1}, 0, 2, 1.5]),
+    command=st.sampled_from(["oracle", "validate"]),
+)
+# The first triple, [1, 1, 1], written as its digits.
+@example(target="placement", index=1, value="111", command="validate")
+def test_one_bad_list_exits_cleanly(fuzz_files, target, index, value, command):
+    """Any one list of a valid instance or placement file (the servers,
+    devices, components, an exchange row, the placement or a triple)
+    replaced by a string, an object or a number exits 2 with one line: a
+    string of digits is not read as a list of them."""
+    paths = list_paths(fuzz_files[target])
+    assert exits_cleanly(fuzz_files, target, paths[index % len(paths)], value, command) == 2
+
+
+def exits_cleanly(fuzz_files, target, path, value, command):
+    """Exit code of ``command`` on the fuzz files with the node at ``path``
+    of ``target`` replaced by ``value``, asserted to be 0 with a quiet
+    stderr, or 2 or 3 with one stderr line."""
     docs = json.loads(json.dumps(fuzz_files))
-    paths = scalar_paths(docs[target])
-    *parents, last = paths[index % len(paths)]
+    *parents, last = path
     node = docs[target]
     for key in parents:
         node = node[key]
@@ -706,6 +821,7 @@ def test_one_bad_scalar_exits_cleanly(fuzz_files, target, index, value, command)
             rc = main(argv)
     assert rc in (0, 2, 3)
     assert err.getvalue().count("\n") == (rc != 0), err.getvalue()
+    return rc
 
 
 MINIMAL_EXPERIMENT = {
@@ -804,8 +920,8 @@ def test_unreadable_input_file_exits_2(tmp_path, instance_file, role, problem, c
 
 @pytest.mark.parametrize(
     "output, where",
-    [(output, where) for output in ("gen", "solve", "iteration-log", "samples-out", "baseline",
-                                    "oracle") for where in ("missing-dir", "under-a-file")]
+    [(output, where) for output in ("gen", "solve", "samples-out", "baseline", "oracle")
+     for where in ("missing-dir", "under-a-file")]
     # experiment makes missing directories, so only a path under a file fails
     + [("experiment", "under-a-file")],
 )
@@ -820,7 +936,6 @@ def test_unwritable_output_path_exits_2(tmp_path, instance_file, output, where, 
         "gen": ["gen", "--servers", "2", "--devices", "2", "--components", "1..1",
                 "--seed", "1", "--out", str(bad)],
         "solve": ["solve", *flags, "--out", str(bad)],
-        "iteration-log": ["solve", *flags, "--iteration-log", str(bad)],
         "samples-out": ["solve", *flags, "--samples-out", str(bad)],
         "baseline": ["baseline", "--which", "nearest", *flags, "--out", str(bad)],
         "oracle": ["oracle", *flags, "--out", str(bad)],

@@ -22,7 +22,6 @@ from dtplace import (
     random_feasible_state,
     stage_search,
 )
-from dtplace.stage import write_iteration_log
 
 from conftest import build_instance, constant_samples
 
@@ -228,14 +227,3 @@ def test_stage_propagates_no_feasible_state():
     samples = constant_samples(inst, [5.0], theta=10)
     with pytest.raises(NoFeasibleState):
         stage_search(inst, samples, params, StageConfig(), 1)
-
-
-def test_iteration_log_export(tmp_path):
-    inst, params, samples = single_server_setup()
-    result = stage_search(inst, samples, params, StageConfig(), 1)
-    out = tmp_path / "iters.csv"
-    write_iteration_log(result, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,q_t,rho_t,converged"
-    assert len(lines) == result.iterations + 1
-    assert lines[-1].endswith(",1")
