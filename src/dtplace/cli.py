@@ -24,6 +24,7 @@ from .domain import (
     generate_instance,
     instance_from_dict,
     instance_to_dict,
+    real,
     validate_instance,
     whole,
 )
@@ -134,11 +135,16 @@ def _load_problem(args) -> tuple[Instance, SaaParams, SampleSet]:
     return inst, SaaParams(alpha=args.alpha, epsilon=args.epsilon, theta=samples.theta), samples
 
 
-def _result_record(algorithm: str, inst: Instance, run: RunSummary, seed: int) -> dict:
+def _result_record(
+    algorithm: str, inst: Instance, params: SaaParams, run: RunSummary, seed: int
+) -> dict:
     state = run.best_state
     return {
         "algorithm": algorithm,
         "seed": seed,
+        "alpha": params.alpha,
+        "epsilon": params.epsilon,
+        "theta": params.theta,
         "rho": state.eval.total,
         "offload": state.eval.offload,
         "communication": state.eval.communication,
@@ -177,7 +183,7 @@ def _cmd_solve(args) -> int:
         _dump_json(samples_to_dict(samples, seed=args.seed), args.samples_out)
     cfg = StageConfig(delta=args.delta, max_iterations=args.max_iterations)
     run = run_algorithm("stage", inst, samples, params, args.seed, stage=cfg)
-    record = _result_record("stage", inst, run, args.seed)
+    record = _result_record("stage", inst, params, run, args.seed)
     record["final_rho"] = run.final_state.eval.total
     _dump_json(record, args.out)
     return 0
@@ -186,7 +192,7 @@ def _cmd_solve(args) -> int:
 def _cmd_baseline(args) -> int:
     inst, params, samples = _load_problem(args)
     run = run_algorithm(args.which, inst, samples, params, args.seed, trials=args.trials)
-    _dump_json(_result_record(args.which, inst, run, args.seed), args.out)
+    _dump_json(_result_record(args.which, inst, params, run, args.seed), args.out)
     return 0
 
 
@@ -200,7 +206,7 @@ def _cmd_oracle(args) -> int:
         total_states_visited=result.states_enumerated,
         iterations=1,
     )
-    _dump_json(_result_record("oracle", inst, run, args.seed), args.out)
+    _dump_json(_result_record("oracle", inst, params, run, args.seed), args.out)
     return 0
 
 
@@ -226,15 +232,20 @@ def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
 
     def parse(data):
-        return placement_from_triples(inst, data["placement"] if isinstance(data, dict) else data)
+        """The placement and the alpha to judge it at: ``--alpha``, else the
+        record's, else the default."""
+        if not isinstance(data, dict):
+            data = {"placement": data}
+        alpha = args.alpha
+        if alpha is None:
+            alpha = real(data["alpha"]) if "alpha" in data else SaaParams.alpha
+        return placement_from_triples(inst, data["placement"]), alpha
 
-    placement = _read(args.placement, "placement", parse)
-    proportion = validate_p1_feasibility(
-        inst, placement, args.alpha, args.validation_theta, args.seed
-    )
-    verdict = "pass" if proportion <= args.alpha else "fail"
+    placement, alpha = _read(args.placement, "placement", parse)
+    proportion = validate_p1_feasibility(inst, placement, alpha, args.validation_theta, args.seed)
+    verdict = "pass" if proportion <= alpha else "fail"
     print(f"max_overload_proportion: {proportion:.6f}")
-    print(f"alpha: {args.alpha}")
+    print(f"alpha: {alpha}")
     print(f"verdict: {verdict}")
     return 0
 
@@ -303,7 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="fresh-sample overload check of a placement")
     p.add_argument("--instance", required=True)
     p.add_argument("--placement", required=True, help="solve, baseline or oracle result JSON")
-    p.add_argument("--alpha", type=float, default=SaaParams.alpha)
+    p.add_argument(
+        "--alpha",
+        type=float,
+        help=f"overload probability to judge at (default: the record's, else {SaaParams.alpha})",
+    )
     p.add_argument("--validation-theta", type=int, default=20000)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_validate)

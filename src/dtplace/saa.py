@@ -91,15 +91,17 @@ def draw_samples(inst: Instance, params: SaaParams, seed: int) -> SampleSet:
 
     Entries are normal around the component's mean with a 20% relative
     spread, resampled until positive. Deterministic in (inst, params, seed).
+    The first draw is standard normals scaled in place, ``z * (0.2 * mean) +
+    mean``: the same floats ``rng.normal(mean, 0.2 * mean, size)`` gives,
+    without its temporaries.
     """
     rng = stream(seed, "samples")
     means = inst.component_mean_cycles[:, None]
-    cycles = rng.normal(means, 0.2 * means, size=(inst.total_components, params.theta))
-    while True:
+    cycles = rng.standard_normal((inst.total_components, params.theta))
+    cycles *= 0.2 * means
+    cycles += means
+    while cycles.min(initial=np.inf) <= 0:  # initial: an instance may have no components
         bad = cycles <= 0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
         rows = np.nonzero(bad)[0]
         cycles[bad] = rng.normal(
             inst.component_mean_cycles[rows], 0.2 * inst.component_mean_cycles[rows]
@@ -141,7 +143,8 @@ def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> n
     time in ascending flat index, starting from exact zeros, then multiplies
     by its rate. Up to ``BINCOUNT_THETA`` scenarios one ``np.bincount`` over
     the flat (server, scenario) bins does the adds in that order; wider
-    sample sets add one component's row at a time, which is cheaper there."""
+    sample sets add one component's row at a time, which is cheaper there.
+    The sums are scaled in place and returned."""
     cycles = samples.cycles
     theta = samples.theta
     if theta <= BINCOUNT_THETA:
@@ -152,7 +155,8 @@ def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> n
         sums = np.zeros((inst.num_servers, theta))
         for row, s in zip(cycles, assignment.tolist()):
             sums[s] += row
-    return inst.cost_rates[:, None] * sums
+    sums *= inst.cost_rates[:, None]
+    return sums
 
 
 def overload_profile(

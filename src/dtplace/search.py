@@ -262,7 +262,7 @@ def random_feasible_state(
             if is_feasible(state.profile, params):
                 return state
     return _greedy_fill(
-        inst, samples, params, rng.permutation(K), lambda k, load: (load - cap[:, None]).max(axis=1)
+        inst, samples, params, rng.permutation(K), lambda k, load: load.max(axis=1) - cap
     )
 
 

@@ -178,6 +178,24 @@ def test_oracle_command(tmp_path, instance_file, capsys):
     assert "verdict:" in capsys.readouterr().out
 
 
+def test_validate_reads_the_alpha_a_record_was_solved_at(tmp_path, instance_file, capsys):
+    """Without ``--alpha``, ``validate`` judges a record at the alpha it names;
+    an explicit ``--alpha`` wins, and a bare triple list is judged at 0.01."""
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", *common_flags(instance_file), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert (record["alpha"], record["epsilon"], record["theta"]) == (0.05, 0.025, 50)
+    bare = tmp_path / "triples.json"
+    bare.write_text(json.dumps(record["placement"]))
+    validate = ["validate", "--instance", str(instance_file), "--validation-theta", "200",
+                "--seed", "1"]
+    for placement, extra, alpha in ((out, [], "0.05"), (out, ["--alpha", "0.2"], "0.2"),
+                                    (bare, [], "0.01")):
+        capsys.readouterr()
+        assert main([*validate, "--placement", str(placement), *extra]) == 0
+        assert f"alpha: {alpha}\n" in capsys.readouterr().out
+
+
 def test_oracle_proving_infeasibility_exits_3(tmp_path, instance_file, capsys):
     data = json.loads(instance_file.read_text())
     for server in data["instance"]["servers"]:
@@ -723,9 +741,12 @@ def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
         *({"placement": [[1, 1, label], [1, 2, 1], [2, 1, 1], [2, 2, 1]]}
           for label in (float("inf"), 1.9, True, HUGE)),
         {"placement": ["111", "121", "211", "221"]},
+        *({"placement": [[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]], "alpha": alpha}
+          for alpha in ("high", True)),
     ],
     ids=["two-entry-triple", "no-placement-key", "unknown-server", "server-inf",
-         "server-fraction", "server-bool", "server-huge", "digit-string-triples"],
+         "server-fraction", "server-bool", "server-huge", "digit-string-triples",
+         "alpha-string", "alpha-bool"],
 )
 def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, capsys):
     path = tmp_path / "placement.json"

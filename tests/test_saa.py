@@ -24,6 +24,7 @@ from dtplace import (
 )
 from dtplace import saa
 from dtplace.saa import load_matrix, server_load
+from dtplace.seeding import stream
 
 from conftest import build_instance, constant_samples
 
@@ -157,6 +158,47 @@ def test_draw_shapes_and_determinism():
     c = draw_samples(inst, params, 6)
     assert not np.array_equal(a.cycles, c.cycles)
     assert (a.cycles > 0).all()
+
+
+def reference_draw(inst, theta, seed):
+    """``draw_samples`` written with ``Generator.normal``'s broadcast draw, and
+    whether that first draw had a non-positive entry to resample."""
+    rng = stream(seed, "samples")
+    means = inst.component_mean_cycles[:, None]
+    cycles = rng.normal(means, 0.2 * means, size=(inst.total_components, theta))
+    resampled = bool((cycles <= 0).any())
+    while True:
+        bad = cycles <= 0
+        n_bad = int(bad.sum())
+        if n_bad == 0:
+            break
+        rows = np.nonzero(bad)[0]
+        cycles[bad] = rng.normal(
+            inst.component_mean_cycles[rows], 0.2 * inst.component_mean_cycles[rows]
+        )
+    return cycles, resampled
+
+
+@pytest.mark.parametrize("theta", [1, 2, 64, 200, 1850, 20000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_draw_samples_is_bitwise_the_broadcast_normal_draw(theta, seed):
+    inst = generate_instance(GenConfig(4, 4, (1, 3)), 2)
+    drawn = draw_samples(inst, SaaParams(theta=theta), seed).cycles
+    expected, _ = reference_draw(inst, theta, seed)
+    assert drawn.shape == expected.shape
+    assert drawn.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 26])
+def test_draw_samples_resamples_as_the_broadcast_normal_draw(seed):
+    """At 250,000 scenarios of 4 components these seeds draw non-positive
+    cycles (seed 26 two of them), so the resample loop runs."""
+    theta = 250_000
+    inst = generate_instance(GenConfig(2, 2, (2, 2)), 1)
+    expected, resampled = reference_draw(inst, theta, seed)
+    assert resampled
+    drawn = draw_samples(inst, SaaParams(theta=theta), seed).cycles
+    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_sample_mean_approaches_component_mean():

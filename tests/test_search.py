@@ -386,6 +386,36 @@ def test_screened_random_start_matches_the_unscreened_reference(case):
     assert np.array_equal(state.profile.overload_count, scratch.overload_count)
 
 
+@st.composite
+def load_rows(draw):
+    """(S, theta) non-negative loads and (S,) capacities, some rows all zero
+    and some entries equal to their row's capacity."""
+    S, theta = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    finite = st.floats(-1e300, 1e300, allow_nan=False)
+    cap = np.array(draw(st.lists(finite, min_size=S, max_size=S)))
+    load = np.zeros((S, theta))
+    for s in range(S):
+        kind = draw(st.sampled_from(["zero", "at_cap", "free"]))
+        if kind == "zero":
+            continue
+        row = draw(st.lists(st.floats(0.0, 1e300), min_size=theta, max_size=theta))
+        load[s] = np.array(row) + 0.0  # no negative zeros: loads are sums of positive cycles
+        if kind == "at_cap" and cap[s] >= 0:
+            load[s, draw(st.integers(0, theta - 1))] = cap[s]
+    return load, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=load_rows())
+@example(case=(np.zeros((2, 3)), np.array([0.0, 5.0])))
+@example(case=(np.array([[1.0, 3.0], [0.1 + 0.2, 0.0]]), np.array([3.0, 0.3])))
+def test_worst_excess_rank_subtracts_capacity_after_the_max(case):
+    """The greedy fallback ranks servers by ``load.max(axis=1) - cap``, bit for
+    bit the row maxima of ``load - cap``: rounding x - c is monotone in x."""
+    load, cap = case
+    assert (load.max(axis=1) - cap).tobytes() == (load - cap[:, None]).max(axis=1).tobytes()
+
+
 def test_random_start_rejects_a_draw_that_overloads_past_the_head(monkeypatch):
     # Server 0 holds the component in the screened scenarios but not in the
     # one after them, where the budget is 0: a draw onto it passes the
