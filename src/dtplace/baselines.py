@@ -13,18 +13,22 @@ def _trial_seed(seed: int, trial: int) -> int:
     return child_seed(seed, f"trial/{trial}")
 
 
+def _starts(
+    inst: Instance, samples: SampleSet, params: SaaParams, trials: int, seed: int
+) -> list[SearchState]:
+    """The ``trials`` random feasible starts both sampling baselines share."""
+    if trials < 1:
+        raise ConfigurationError("trials must be >= 1")
+    return [
+        random_feasible_state(inst, samples, params, _trial_seed(seed, i)) for i in range(trials)
+    ]
+
+
 def baseline_random_best(
     inst: Instance, samples: SampleSet, params: SaaParams, trials: int, seed: int
 ) -> RunSummary:
-    """Best of ``trials`` independent random feasible states."""
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    best: SearchState | None = None
-    for i in range(trials):
-        state = random_feasible_state(inst, samples, params, _trial_seed(seed, i))
-        if best is None or state.eval.total < best.eval.total:
-            best = state
-    assert best is not None
+    """Best of ``trials`` independent random feasible states (the first on a tie)."""
+    best = min(_starts(inst, samples, params, trials, seed), key=lambda state: state.eval.total)
     return RunSummary(best_state=best, total_states_visited=trials, iterations=trials)
 
 
@@ -33,20 +37,15 @@ def baseline_restart_hillclimb(
 ) -> RunSummary:
     """Cost descent from each of the same ``trials`` random starts; best endpoint.
 
-    Start states match :func:`baseline_random_best` draw for draw, so its
-    result can never beat this one on the same seed.
+    Both baselines read :func:`_starts`, so :func:`baseline_random_best`'s
+    result is one of this one's starts and can never beat it on the same seed.
     """
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
-    best: SearchState | None = None
-    visited = 0
-    for i in range(trials):
-        start = random_feasible_state(inst, samples, params, _trial_seed(seed, i))
+    endpoints, visited = [], 0
+    for start in _starts(inst, samples, params, trials, seed):
         endpoint, _, stats = hill_climb(inst, samples, params, start)
+        endpoints.append(endpoint)
         visited += stats.states_visited
-        if best is None or endpoint.eval.total < best.eval.total:
-            best = endpoint
-    assert best is not None
+    best = min(endpoints, key=lambda state: state.eval.total)
     return RunSummary(best_state=best, total_states_visited=visited, iterations=trials)
 
 

@@ -160,15 +160,15 @@ class Instance:
 
 @dataclass(frozen=True)
 class GenConfig:
-    """Instance-generation parameters: the entity counts and the side of the
-    square area. The distributions are fixed; see :func:`generate_instance`."""
+    """Instance-generation parameters, checked when built: the entity counts and
+    the side of the square area. Distributions: see :func:`generate_instance`."""
 
     num_servers: int
     num_devices: int
     components_range: tuple[int, int]
     area_side: float = DEFAULT_AREA_SIDE
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.num_servers < 1 or self.num_devices < 1:
             raise ConfigurationError("num_servers and num_devices must be >= 1")
         lo, hi = self.components_range
@@ -201,7 +201,6 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
     each sibling pair exchanges ``U(50, 250)`` KB. The unit transport cost
     is ``U(0, 1)``.
     """
-    cfg.validate()
     rng = stream(seed, "instance")
     side = cfg.area_side
 
@@ -351,15 +350,17 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def whole(value) -> int:
-    """``int(value)`` for a number read from a file, refusing bools and fractions."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``int(value)`` for a number read from a file, refusing strings, bools and fractions."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
 
 
 def real(value) -> float:
-    """``float(value)`` for a number read from a file, refusing bools and huge integers."""
-    if isinstance(value, bool):
+    """``float(value)`` for a number read from a file, refusing strings, bools and huge integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"expected a number, got {value!r}")
     try:
         return float(value)

@@ -53,8 +53,8 @@ class ExperimentConfig:
         :class:`SaaParams` and :class:`StageConfig`, flattened; an absent key
         keeps its dataclass default, which the CLI flags read as well. Every
         value goes through :func:`~dtplace.domain.whole` or
-        :func:`~dtplace.domain.real`, so nothing is truncated: a bool, a
-        number with a fractional part for a whole-number field, an integer
+        :func:`~dtplace.domain.real`, so nothing is truncated: a string or a
+        bool for a number, a fraction for a whole-number field, an integer
         too large for a float and a string for a list are refused. Anything
         that does not convert, a missing key, a key that is none of the
         above (a typo would otherwise run at the default) and an invalid
@@ -90,8 +90,10 @@ class ExperimentConfig:
             raise ConfigurationError(f"experiment config is missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed experiment config: {exc}") from exc
-        cfg.validate()
         return cfg
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if self.axis not in (AXIS_SERVERS, AXIS_DEVICES):
@@ -102,17 +104,14 @@ class ExperimentConfig:
             raise ConfigurationError("axis values must be >= 1")
         if len(set(self.axis_values)) != len(self.axis_values):
             raise ConfigurationError(f"axis_values must be distinct, got {list(self.axis_values)}")
-        if self.num_servers < 1 or self.num_devices < 1:
-            raise ConfigurationError("fixed entity counts must be >= 1")
         if self.replications < 1:
             raise ConfigurationError("replications must be >= 1")
         if self.baseline_trials < 1:
             raise ConfigurationError("baseline_trials must be >= 1")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be non-negative")
-        lo, hi = self.components_range
-        if lo < 1 or hi < lo:
-            raise ConfigurationError("components_range must satisfy 1 <= lo <= hi")
+        # The fixed counts and the component range follow GenConfig's rules.
+        GenConfig(self.num_servers, self.num_devices, self.components_range)
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,6 @@ def _num_workers() -> int:
 
 
 def run_experiment_full(cfg: ExperimentConfig) -> ExperimentData:
-    cfg.validate()
     tasks = [(cfg, value, rep) for value in cfg.axis_values for rep in range(cfg.replications)]
     workers = min(_num_workers(), len(tasks))
     if workers > 1:

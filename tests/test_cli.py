@@ -595,9 +595,10 @@ def test_negative_seed_exits_2(tmp_path, instance_file, command, capsys):
         lambda d: d["cycles"][1].__setitem__(2, -5.0),
         lambda d: d["cycles"][1].pop(),
         lambda d: d["cycles"][0].__setitem__(0, HUGE),
+        lambda d: d.__setitem__("theta", "50"),
     ],
     ids=["no-components", "no-theta", "no-cycles", "nan", "inf", "zero", "negative", "ragged",
-         "huge"],
+         "huge", "theta-string"],
 )
 def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys):
     from dtplace import SaaParams, draw_samples, instance_from_dict
@@ -680,6 +681,8 @@ def set_exchange(value):
         (lambda d: d["servers"][0].__setitem__("capacity", HUGE), "too large for a float"),
         (lambda d: [c.__setitem__("exchange_kb", "00") for c in d["devices"][0]["components"]],
          "expected a list, got '00'"),
+        (lambda d: d["servers"][0].__setitem__("capacity", str(d["servers"][0]["capacity"])),
+         "expected a number, got '"),
     ],
     ids=[
         "missing-key",
@@ -698,6 +701,7 @@ def set_exchange(value):
         "capacity-bool",
         "capacity-huge",
         "exchange-string",
+        "capacity-string",
     ],
 )
 def test_malformed_instance_file_exits_2(tmp_path, instance_file, mutate, message, capsys):
@@ -742,11 +746,12 @@ def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
           for label in (float("inf"), 1.9, True, HUGE)),
         {"placement": ["111", "121", "211", "221"]},
         *({"placement": [[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]], "alpha": alpha}
-          for alpha in ("high", True)),
+          for alpha in ("high", True, "0.05")),
+        {"placement": [["1", "1", "1"], ["1", "2", "1"], ["2", "1", "1"], ["2", "2", "1"]]},
     ],
     ids=["two-entry-triple", "no-placement-key", "unknown-server", "server-inf",
          "server-fraction", "server-bool", "server-huge", "digit-string-triples",
-         "alpha-string", "alpha-bool"],
+         "alpha-string", "alpha-bool", "alpha-numeric-string", "string-triples"],
 )
 def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, capsys):
     path = tmp_path / "placement.json"
@@ -872,11 +877,12 @@ MINIMAL_EXPERIMENT = {
         {"delta": True},
         {"components_range": "13"},
         {"alpha": HUGE},
+        {"theta": "30"},
     ],
     ids=["axis-values-not-int", "axis-values-not-list", "range-not-int", "range-one-entry",
          "theta-not-number", "top-level-list", "axis-values-string", "axis-value-fraction",
          "replications-fraction", "replications-bool", "delta-bool", "range-string",
-         "alpha-huge"],
+         "alpha-huge", "theta-numeric-string"],
 )
 def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
     config = [MINIMAL_EXPERIMENT] if change is None else {**MINIMAL_EXPERIMENT, **change}

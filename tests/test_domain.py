@@ -139,7 +139,7 @@ def test_serialization_round_trip_is_exact():
 )
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ConfigurationError):
-        generate_instance(GenConfig(**kwargs), 1)
+        GenConfig(**kwargs)
 
 
 def test_constructor_rejects_wrong_length_exchange_row():

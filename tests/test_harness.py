@@ -177,13 +177,18 @@ def test_run_algorithm_rejects_an_unknown_name():
 
 def test_config_validation():
     with pytest.raises(ConfigurationError):
-        tiny_config(axis="widgets").validate()
+        tiny_config(axis="widgets")
     with pytest.raises(ConfigurationError):
-        tiny_config(axis_values=()).validate()
+        tiny_config(axis_values=())
     with pytest.raises(ConfigurationError):
-        tiny_config(replications=0).validate()
+        tiny_config(replications=0)
     with pytest.raises(ConfigurationError):
-        tiny_config(components_range=(2, 1)).validate()
+        tiny_config(components_range=(2, 1))
+    # The fixed counts and the component range are GenConfig's rules.
+    with pytest.raises(ConfigurationError, match="num_servers and num_devices"):
+        tiny_config(num_servers=0)
+    with pytest.raises(ConfigurationError, match="components_range"):
+        tiny_config(components_range=(0, 1))
 
 
 def test_validate_p1_feasibility_zero_load():
@@ -215,11 +220,8 @@ def test_golden_checksum(tmp_path):
 
 
 def test_duplicate_axis_values_rejected():
-    cfg = tiny_config(axis_values=(3, 3))
     with pytest.raises(ConfigurationError, match="distinct"):
-        cfg.validate()
-    with pytest.raises(ConfigurationError):
-        run_experiment_full(cfg)
+        tiny_config(axis_values=(3, 3))
 
 
 def test_from_dict_defaults_and_conversions():
@@ -239,16 +241,19 @@ def test_from_dict_defaults_and_conversions():
     )
     full = {
         **required,
-        "num_servers": "3",
+        "num_servers": 3.0,
         "num_devices": 2,
-        "components_range": ["1", 2],
-        "alpha": "0.05",
+        "components_range": [1.0, 2],
+        "alpha": 0.05,
         "epsilon": 0.025,
         "theta": 40.0,
         "max_iterations": 4,
         "baseline_trials": 3,
     }
     assert ExperimentConfig.from_dict(full) == tiny_config()
+    for key, text in (("num_servers", "3"), ("components_range", ["1", 2]), ("alpha", "0.05")):
+        with pytest.raises(ConfigurationError, match="malformed experiment config"):
+            ExperimentConfig.from_dict({**full, key: text})
     with pytest.raises(ConfigurationError, match="missing key 'master_seed'"):
         ExperimentConfig.from_dict({k: v for k, v in required.items() if k != "master_seed"})
     with pytest.raises(ConfigurationError, match="distinct"):
