@@ -24,6 +24,7 @@ from .domain import (
     generate_instance,
     instance_from_dict,
     instance_to_dict,
+    listed,
     real,
     validate_instance,
     whole,
@@ -104,7 +105,7 @@ def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
 def samples_from_dict(data: dict) -> SampleSet:
     if not isinstance(data, dict):
         raise ConfigurationError(f"sample file must be a JSON object, got {type(data).__name__}")
-    cycles = np.array(data["cycles"], dtype=np.float64)
+    cycles = np.array([[real(v) for v in listed(row)] for row in listed(data["cycles"])])
     if cycles.shape != (whole(data["components"]), whole(data["theta"])):
         raise ConfigurationError("sample file dimensions do not match its header")
     if not (np.isfinite(cycles) & (cycles > 0)).all():

@@ -66,10 +66,9 @@ def _assignment(inst: Instance, pl: Placement) -> np.ndarray:
     return a
 
 
-def _distances(inst: Instance, pl: Placement) -> tuple[np.ndarray, np.ndarray]:
+def _distances(inst: Instance, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K,) server-device distance of every component and (K, W) server-server
     distance to each of its siblings; padded slots read 0."""
-    a = _assignment(inst, pl)
     return (
         inst.dist_server_device[a, inst.component_device],
         inst.dist_server_server[a[:, None], a[inst.sibling_index]],
@@ -90,18 +89,21 @@ def _features(dev_dist: np.ndarray, sib_dist: np.ndarray) -> FeatureVector:
 
 def evaluate(inst: Instance, pl: Placement) -> CostBreakdown:
     """Offload plus communication cost of a complete placement."""
-    return _cost(inst, *_distances(inst, pl))
+    return _cost(inst, *_distances(inst, _assignment(inst, pl)))
 
 
 def features(inst: Instance, pl: Placement) -> FeatureVector:
     """Distance features of a complete placement."""
-    return _features(*_distances(inst, pl))
+    return _features(*_distances(inst, _assignment(inst, pl)))
 
 
-def measure(inst: Instance, pl: Placement) -> tuple[CostBreakdown, FeatureVector]:
-    """``(evaluate(inst, pl), features(inst, pl))`` from one gather of the
-    distances; the sums are theirs, so the results are bit-identical."""
-    dev_dist, sib_dist = _distances(inst, pl)
+def measure(inst: Instance, a: np.ndarray) -> tuple[CostBreakdown, FeatureVector]:
+    """``(evaluate(inst, pl), features(inst, pl))`` of the placement whose
+    (K,) int array of server indices is ``a``, from one gather of the
+    distances; the sums are theirs, so the results are bit-identical. The
+    array is trusted: unlike :func:`evaluate` and :func:`features`, its
+    shape and server range are not checked."""
+    dev_dist, sib_dist = _distances(inst, a)
     return _cost(inst, dev_dist, sib_dist), _features(dev_dist, sib_dist)
 
 

@@ -131,10 +131,11 @@ def server_load(inst: Instance, samples: SampleSet, members: np.ndarray, s: int)
     members' cycles added one at a time in ascending flat index (exact zeros
     for none), times the server's rate. ``sum(axis=0)`` adds rows so for
     theta >= 2, but sums one column pairwise from 8 rows on: theta = 1
-    accumulates."""
+    accumulates. The sum is scaled in place."""
     rows = samples.cycles[members]
     total = rows.sum(axis=0) if samples.theta > 1 else np.cumsum(np.append(0.0, rows))[-1:]
-    return inst.cost_rates[s] * total
+    total *= inst.cost_rates[s]
+    return total
 
 
 def load_matrix(inst: Instance, samples: SampleSet, assignment: np.ndarray) -> np.ndarray:

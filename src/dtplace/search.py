@@ -104,9 +104,18 @@ class _Workspace:
         self.load = load_matrix(inst, samples, self.assignment)
         self.counts = start.profile.overload_count.copy()
         self.rows = np.arange(inst.total_components)
-        self.e_rows = inst.dist_server_device[:, inst.component_device].T
+        # Constants of every move table, built once per climb. Sibling data is
+        # laid out (W, K, ...): a sibling sum adds W contiguous (K, S) slices
+        # one at a time, in slot order.
+        r = inst.unit_transport_cost
+        self.e_rows = inst.dist_server_device.T[inst.component_device]
+        self.l_rows = np.ascontiguousarray(inst.dist_server_server.T)
+        self.sib_cols = np.ascontiguousarray(inst.sibling_index.T)
+        self.off_weight = (r * inst.component_offload_kb)[:, None]
+        self.exchange = np.ascontiguousarray(inst.sibling_exchange_kb.T)[:, :, None]
+        self.two_r = 2.0 * r
         # Padded sibling slots point at k itself; they weigh 0 in both sums.
-        self.sib_on = (inst.sibling_index != self.rows[:, None]).astype(np.float64)
+        self.sib_on = (self.sib_cols != self.rows).astype(np.float64)[:, :, None]
 
     def candidate_count(self, k: int, s: int) -> int:
         """The overload count server s would have if it also hosted component k:
@@ -122,10 +131,11 @@ class _Workspace:
         source = int(self.assignment[k])
         self.assignment[k] = target
         for s in (source, target):
-            self.load[s] = server_load(inst, self.samples, self.assignment == s, s)
-            self.counts[s] = (self.load[s] > inst.capacities[s]).sum()
+            load = server_load(inst, self.samples, self.assignment == s, s)
+            self.load[s] = load
+            self.counts[s] = np.count_nonzero(load > inst.capacities[s])
         pl = Placement(tuple(self.assignment.tolist()))
-        cost, feat = measure(inst, pl)
+        cost, feat = measure(inst, self.assignment)
         self.state = SearchState(
             placement=pl,
             eval=cost,
@@ -137,23 +147,36 @@ class _Workspace:
     def move_values(self, objective: QuadraticModel | None) -> np.ndarray:
         """(K, S) value of every one-component move, broadcast from the
         current state: the placement cost, or, given a value model, its
-        prediction from the moved distance features."""
-        inst = self.inst
+        prediction from the moved distance features. Each term is built in
+        place with the operations, in the order, of the plain (K, S)
+        broadcast, so every value is that broadcast's float."""
         a = self.assignment
-        rows = self.rows
-        shift = self.e_rows - self.e_rows[rows, a][:, None]
-        # (K, W, S): distance from every server to each sibling's server.
-        l_sib = inst.dist_server_server.T[a[inst.sibling_index]]
+        shift = self.e_rows - self._at_current(self.e_rows)
+        # (W, K, S): distance from every server to each sibling's server.
+        l_sib = self.l_rows.take(a[self.sib_cols], axis=0)
         if objective is None:
-            r, cost = inst.unit_transport_cost, self.state.eval
-            pair_cost = (l_sib * inst.sibling_exchange_kb[:, :, None]).sum(axis=1)
-            off_new = cost.offload + (r * inst.component_offload_kb)[:, None] * shift
-            com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
-            return off_new + com_new
+            cost = self.state.eval
+            l_sib *= self.exchange
+            com = np.add.reduce(l_sib)
+            com -= self._at_current(com)
+            com *= self.two_r
+            com += cost.communication
+            shift *= self.off_weight
+            shift += cost.offload
+            shift += com
+            return shift
         feat = self.state.features
-        pair_dist = (l_sib * self.sib_on[:, :, None]).sum(axis=1)
-        f2_new = feat.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
-        return objective.predict_pair(feat.dist_off + shift, f2_new)
+        l_sib *= self.sib_on
+        f2 = np.add.reduce(l_sib)
+        f2 -= self._at_current(f2)
+        f2 *= 2.0
+        f2 += feat.dist_com
+        shift += feat.dist_off
+        return objective.predict_pair(shift, f2)
+
+    def _at_current(self, table: np.ndarray) -> np.ndarray:
+        """(K, 1) entries of a (K, S) table at each component's current server."""
+        return table[self.rows, self.assignment][:, None]
 
 
 def hill_climb(

@@ -267,7 +267,7 @@ def test_costs_and_features_match_explicit_oracles_at_scale():
         pl = Placement(tuple(int(s) for s in rng.integers(0, 20, inst.total_components)))
         off, com = explicit_pair_costs(inst, pl)
         f1, f2 = explicit_features(inst, pl)
-        cost, feat = measure(inst, pl)
+        cost, feat = measure(inst, pl.array())
         for got in (evaluate(inst, pl), cost):
             assert got.offload == pytest.approx(off, rel=1e-9)
             assert got.communication == pytest.approx(com, rel=1e-9)
@@ -298,7 +298,7 @@ def placed_instances(draw):
 @given(case=placed_instances())
 def test_measure_is_evaluate_and_features_bit_for_bit(case):
     inst, pl = case
-    cost, feat = measure(inst, pl)
+    cost, feat = measure(inst, pl.array())
     ref_cost, ref_feat = evaluate(inst, pl), features(inst, pl)
     for got, want in (
         (cost.offload, ref_cost.offload),

@@ -762,6 +762,75 @@ def test_workspace_matches_scratch_after_random_moves(case):
     check_workspace(*case)
 
 
+def broadcast_move_values(ws, objective):
+    """The (K, S) move table by the plain broadcast formulas, rebuilding
+    every weight array from the instance, as the workspace's precomputed
+    tables must reproduce bit for bit."""
+    inst = ws.inst
+    a = ws.assignment
+    rows = np.arange(inst.total_components)
+    e_rows = inst.dist_server_device[:, inst.component_device].T
+    shift = e_rows - e_rows[rows, a][:, None]
+    l_sib = inst.dist_server_server.T[a[inst.sibling_index]]
+    if objective is None:
+        r, cost = inst.unit_transport_cost, ws.state.eval
+        pair_cost = (l_sib * inst.sibling_exchange_kb[:, :, None]).sum(axis=1)
+        off_new = cost.offload + (r * inst.component_offload_kb)[:, None] * shift
+        com_new = cost.communication + 2.0 * r * (pair_cost - pair_cost[rows, a][:, None])
+        return off_new + com_new
+    feat = ws.state.features
+    sib_on = (inst.sibling_index != rows[:, None]).astype(np.float64)
+    pair_dist = (l_sib * sib_on[:, :, None]).sum(axis=1)
+    f2_new = feat.dist_com + 2.0 * (pair_dist - pair_dist[rows, a][:, None])
+    return objective.predict_pair(feat.dist_off + shift, f2_new)
+
+
+@st.composite
+def bitwise_cases(draw):
+    """Devices of up to 4 components (sibling width 3) and theta 1 or 2:
+    theta = 1 is server_load's accumulating path."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    num_servers = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    theta = draw(st.sampled_from([1, 2]))
+    integral = draw(st.booleans())
+    K = sum(sizes)
+    moves = draw(
+        st.lists(st.tuples(st.integers(0, K - 1), st.integers(0, num_servers - 1)), max_size=8)
+    )
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_servers, sizes, integral)
+    samples = random_samples(rng, inst, theta, integral)
+    params = SaaParams(alpha=0.9, epsilon=0.5, theta=theta)
+    return inst, samples, params, rng.integers(0, num_servers, size=K), moves
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=bitwise_cases())
+def test_workspace_tables_and_states_are_bitwise_the_scratch_ones(case):
+    inst, samples, params, assignment, moves = case
+    ws = workspace(inst, samples, params, assignment)
+    for step in range(len(moves) + 1):
+        if step:
+            ws.apply(*moves[step - 1])
+        for objective in (None, MODEL):
+            assert np.array_equal(ws.move_values(objective), broadcast_move_values(ws, objective))
+        pl = ws.state.placement
+        assert pl.servers == tuple(ws.assignment.tolist())
+        cost, feat = evaluate(inst, pl), features(inst, pl)
+        for got, want in (
+            (ws.state.eval.offload, cost.offload),
+            (ws.state.eval.communication, cost.communication),
+            (ws.state.eval.total, cost.total),
+            (ws.state.features.dist_off, feat.dist_off),
+            (ws.state.features.dist_com, feat.dist_com),
+        ):
+            assert got.hex() == want.hex()
+        profile = overload_profile(inst, samples, pl, params)
+        assert np.array_equal(ws.state.profile.overload_count, profile.overload_count)
+        assert ws.state.profile.theta == profile.theta
+
+
 @pytest.mark.parametrize(
     "num_servers, sizes, theta",
     [
