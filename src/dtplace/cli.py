@@ -26,7 +26,6 @@ from .domain import (
     instance_to_dict,
     listed,
     real,
-    validate_instance,
     whole,
 )
 from .errors import ConfigurationError, NoFeasibleState, SizeCapExceeded
@@ -82,13 +81,12 @@ def _read(path: str, what: str, parse):
 
 def _load_instance(path: str) -> Instance:
     def parse(data):
-        return instance_from_dict(data["instance"] if "instance" in data else data)
+        try:
+            return instance_from_dict(data["instance"] if "instance" in data else data)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"invalid instance {path}: {exc}") from exc
 
-    inst = _read(path, "instance", parse)
-    problems = validate_instance(inst)
-    if problems:
-        raise ConfigurationError(f"invalid instance {path}: " + "; ".join(problems))
-    return inst
+    return _read(path, "instance", parse)
 
 
 def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
@@ -168,9 +166,6 @@ def _cmd_gen(args) -> int:
         area_side=args.area_side,
     )
     inst = generate_instance(cfg, args.seed)
-    problems = validate_instance(inst)
-    if problems:
-        raise ConfigurationError(f"area_side {cfg.area_side} is too large: " + "; ".join(problems))
     _dump_json(
         {"seed": args.seed, "gen_config": asdict(cfg), "instance": instance_to_dict(inst)},
         args.out,

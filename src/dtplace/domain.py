@@ -199,7 +199,8 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
     ``U(0.3e9, 0.4e9)``. A device has ``U{lo..hi}`` components sharing mean
     cycles ``U(1e6, 10e6)``; each component offloads ``U(100, 500)`` KB and
     each sibling pair exchanges ``U(50, 250)`` KB. The unit transport cost
-    is ``U(0, 1)``.
+    is ``U(0, 1)``. Raises :class:`ConfigurationError` when the instance fails
+    :func:`validate_instance`, which only an ``area_side`` too large can cause.
     """
     rng = stream(seed, "instance")
     side = cfg.area_side
@@ -236,7 +237,8 @@ def generate_instance(cfg: GenConfig, seed: int) -> Instance:
         devices.append(PhysicalDevice(position=pos, components=comps))
 
     unit_cost = float(rng.uniform(0.0, 1.0))
-    return Instance(servers=tuple(servers), devices=tuple(devices), unit_transport_cost=unit_cost)
+    inst = Instance(servers=tuple(servers), devices=tuple(devices), unit_transport_cost=unit_cost)
+    return _checked(inst, f"area_side {side} is too large: ")
 
 
 def validate_instance(inst: Instance) -> list[str]:
@@ -294,6 +296,15 @@ def validate_instance(inst: Instance) -> list[str]:
     if not out:
         out += _overflow_problems(inst)
     return out
+
+
+def _checked(inst: Instance, context: str) -> Instance:
+    """``inst`` if :func:`validate_instance` finds no problem, else a
+    :class:`ConfigurationError` listing them all after ``context``."""
+    problems = validate_instance(inst)
+    if problems:
+        raise ConfigurationError(context + "; ".join(problems))
+    return inst
 
 
 def _overflow_problems(inst: Instance) -> list[str]:
@@ -386,7 +397,9 @@ def _positioned(entries, owner: str):
 
 def instance_from_dict(data: dict) -> Instance:
     """Inverse of :func:`instance_to_dict`. Other keys, such as the distance
-    matrices older files carry, are ignored: distances follow from positions."""
+    matrices older files carry, are ignored: distances follow from positions.
+    Raises :class:`ConfigurationError`, listing every problem, when the
+    instance fails :func:`validate_instance`."""
     servers = tuple(
         EdgeServer(
             position=Point(real(s["x"]), real(s["y"])),
@@ -409,8 +422,6 @@ def instance_from_dict(data: dict) -> Instance:
         )
         for i, d in enumerate(_positioned(data["devices"], "device"))
     )
-    return Instance(
-        servers=servers,
-        devices=devices,
-        unit_transport_cost=real(data["unit_transport_cost"]),
-    )
+    unit_cost = real(data["unit_transport_cost"])
+    inst = Instance(servers=servers, devices=devices, unit_transport_cost=unit_cost)
+    return _checked(inst, "")

@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 
 MAX_TRIES = 10000  # uniform draws before the random start falls back to the greedy
 SCREEN_SCENARIOS = 64  # leading scenarios every random-start draw is first counted on
+PHASE2_STEP_CAP = 500  # safety cap on a prediction descent's accepted moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +186,6 @@ def hill_climb(
     params: SaaParams,
     start: SearchState,
     objective: QuadraticModel | None = None,
-    max_steps: int | None = None,
     on_visit: Callable[[SearchState], None] | None = None,
 ) -> tuple[SearchState, Trajectory, SearchStats]:
     """Steepest descent from a feasible start.
@@ -194,11 +194,12 @@ def hill_climb(
     on its prediction ``objective.predict_pair(dist_off, dist_com)``. Each
     step moves to the feasible neighbor with the strictly smallest value,
     first-in-scan-order on ties, and stops when no neighbor strictly improves
-    (or after ``max_steps`` accepted moves). The start's caches are trusted
-    as given; every accepted state is evaluated from scratch, and the climb
-    stops at the previous state when that state does not improve the value
-    or has its target server over budget (the candidate count's sum can round
-    across capacity where the from-scratch sum does not). The trajectory
+    (a prediction descent also after ``PHASE2_STEP_CAP`` accepted moves; a
+    cost descent has no cap). The start's caches are trusted as given; every
+    accepted state is evaluated from scratch, and the climb stops at the
+    previous state when that state does not improve the value or has its
+    target server over budget (the candidate count's sum can round across
+    capacity where the from-scratch sum does not). The trajectory
     records the features of every visited state; its endpoint value is the
     placement cost of the final state regardless of the objective used.
     """
@@ -219,8 +220,7 @@ def hill_climb(
     if on_visit is not None:
         on_visit(state)
     neighbors_evaluated = 0
-    steps = 0
-    while max_steps is None or steps < max_steps:
+    while objective is None or len(points) - 1 < PHASE2_STEP_CAP:  # points: start + moves
         cand = ws.move_values(objective)
         neighbors_evaluated += K * (S - 1)
         cand[ws.rows, ws.assignment] = np.inf
@@ -246,7 +246,6 @@ def hill_climb(
         points.append(state.features)
         if on_visit is not None:
             on_visit(state)
-        steps += 1
     traj = Trajectory(points=tuple(points), endpoint_value=state.eval.total)
     stats = SearchStats(states_visited=len(points), neighbors_evaluated=neighbors_evaluated)
     return state, traj, stats

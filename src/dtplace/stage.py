@@ -21,7 +21,6 @@ from .search import RunSummary, SearchState, Trajectory, hill_climb, random_feas
 from .seeding import child_seed
 
 RIDGE_DEFAULT = 1e-8
-PHASE2_STEP_CAP = 500  # safety cap on the prediction descent's moves
 
 _INTERCEPT_FREE = np.diag([0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
 
@@ -144,12 +143,6 @@ def stage_search(
         if best is None or state.eval.total < best.eval.total:
             best = state
 
-    def descend_on(model: QuadraticModel, state: SearchState) -> SearchState:
-        """Phase II: the prediction descent, capped at PHASE2_STEP_CAP moves."""
-        return hill_climb(
-            inst, samples, params, state, objective=model, max_steps=PHASE2_STEP_CAP, on_visit=visit
-        )[0]
-
     start = random_feasible_state(inst, samples, params, seed)
     trajectories: list[Trajectory] = []
     optima: list[float] = []
@@ -169,7 +162,8 @@ def stage_search(
         if t == cfg.max_iterations:
             break
         model = fit_value_model(trajectories)
-        predicted_start = descend_on(model, endpoint)
+        # Phase II: the prediction descent, capped at search.PHASE2_STEP_CAP moves.
+        predicted_start = hill_climb(inst, samples, params, endpoint, model, on_visit=visit)[0]
         exogenous_restart = False
         if predicted_start.placement.servers == endpoint.placement.servers:
             # The prediction descent stalled (e.g. a flat model such as the
@@ -178,7 +172,7 @@ def stage_search(
             probe = random_feasible_state(
                 inst, samples, params, child_seed(seed, f"stall-restart/{t}")
             )
-            predicted_start = descend_on(model, probe)
+            predicted_start = hill_climb(inst, samples, params, probe, model, on_visit=visit)[0]
             exogenous_restart = (
                 predicted_start.placement.servers != endpoint.placement.servers
             )

@@ -172,6 +172,20 @@ def test_nearest_raises_when_nothing_fits():
         baseline_nearest(inst, samples, params)
 
 
+def test_nearest_refuses_an_empty_server_over_its_capacity():
+    # Server 2's capacity -1 is overloaded with nothing on it, which only the
+    # check of the whole placement counts: the fill counts occupied servers.
+    inst = build_instance(
+        servers=[(0, 0, 1.0, 1e9), (10, 0, 1.0, -1.0)],
+        devices=[(1, 0, [(5.0, 200.0, (0.0,))])],
+        unit_cost=0.5,
+    )
+    params = SaaParams(alpha=0.1, epsilon=0.1, theta=10)
+    samples = constant_samples(inst, [5.0], theta=10)
+    with pytest.raises(NoFeasibleState, match="greedy placement exceeds the overload budget"):
+        baseline_nearest(inst, samples, params)
+
+
 def test_nearest_spills_at_a_rounding_boundary():
     # Server 0 holds either component alone but not both: the second one
     # spills to server 1 rather than the whole greedy being refused.

@@ -600,9 +600,12 @@ def test_negative_seed_exits_2(tmp_path, instance_file, command, capsys):
         lambda d: d["cycles"][0].__setitem__(0, "1.5e6"),
         lambda d: d.__setitem__("cycles", [[True] * 50, *d["cycles"][1:]]),
         lambda d: d.__setitem__("cycles", [row[0] for row in d["cycles"]]),
+        lambda d: d.__setitem__("theta", 49),
+        lambda d: d.update(components=3, cycles=[d["cycles"][0]] * 3),
     ],
     ids=["no-components", "no-theta", "no-cycles", "nan", "inf", "zero", "negative", "ragged",
-         "huge", "theta-string", "bool-cycle", "string-cycle", "bool-row", "flat-cycles"],
+         "huge", "theta-string", "bool-cycle", "string-cycle", "bool-row", "flat-cycles",
+         "theta-header-mismatch", "other-component-count"],
 )
 def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys):
     from dtplace import SaaParams, draw_samples, instance_from_dict

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,23 +99,43 @@ def test_validate_accepts_generator_output():
 
 
 def test_validate_flags_asymmetric_exchange():
+    # The constructor does not validate, so it can build the broken instance.
     cfg = GenConfig(num_servers=2, num_devices=1, components_range=(2, 2))
     inst = generate_instance(cfg, 3)
-    data = instance_to_dict(inst)
-    data["devices"][0]["components"][0]["exchange_kb"][1] += 1.0
-    broken = instance_from_dict(data)
+    dev = inst.devices[0]
+    first = dev.components[0]
+    row = (first.exchange_kb[0], first.exchange_kb[1] + 1.0)
+    comps = (replace(first, exchange_kb=row), *dev.components[1:])
+    broken = replace(inst, devices=(replace(dev, components=comps),))
     assert any("asymmetric" in v for v in validate_instance(broken))
 
 
 def test_validate_flags_nonpositive_fields():
     cfg = GenConfig(num_servers=2, num_devices=1, components_range=(1, 1))
     inst = generate_instance(cfg, 5)
-    data = instance_to_dict(inst)
-    data["servers"][0]["cost_per_cycle"] = 0.0
-    data["devices"][0]["components"][0]["offload_kb"] = -1.0
-    violations = validate_instance(instance_from_dict(data))
+    dev = inst.devices[0]
+    broken = replace(
+        inst,
+        servers=(replace(inst.servers[0], cost_per_cycle=0.0), *inst.servers[1:]),
+        devices=(replace(dev, components=(replace(dev.components[0], offload_kb=-1.0),)),),
+    )
+    violations = validate_instance(broken)
     assert any("cost_per_cycle" in v for v in violations)
     assert any("offload_kb" in v for v in violations)
+
+
+def test_instance_from_dict_refuses_what_validation_flags():
+    data = instance_to_dict(generate_instance(GenConfig(2, 2, (1, 2)), 5))
+    data["servers"][1]["capacity"] = float("nan")
+    with pytest.raises(ConfigurationError, match="^server 2 capacity not positive and finite$"):
+        instance_from_dict(data)
+
+
+def test_generate_instance_refuses_an_overflowing_area_side():
+    # GenConfig accepts the side (2 * side is finite), but costs would overflow.
+    cfg = GenConfig(3, 3, (1, 2), area_side=1e306)
+    with pytest.raises(ConfigurationError, match="area_side 1e[+]306 is too large: costs can"):
+        generate_instance(cfg, 5)
 
 
 def test_serialization_round_trip_is_exact():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_empty_convergence_writes_header_only(tmp_path):
     cfg = tiny_config()
     data = run_experiment_full(cfg)
     _, conv = write_outputs(data.rows, [], tmp_path / "empty")
-    assert open(conv).read().strip() == "run_id,t,rho_t"
+    assert Path(conv).read_text().strip() == "run_id,t,rho_t"
 
 
 def test_write_outputs_requires_rows(tmp_path):
@@ -182,6 +183,12 @@ def test_config_validation():
         tiny_config(axis_values=())
     with pytest.raises(ConfigurationError):
         tiny_config(replications=0)
+    with pytest.raises(ConfigurationError, match="axis values must be >= 1"):
+        tiny_config(axis_values=(0, 2))
+    with pytest.raises(ConfigurationError, match="baseline_trials"):
+        tiny_config(baseline_trials=0)
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        tiny_config(master_seed=-1)
     with pytest.raises(ConfigurationError):
         tiny_config(components_range=(2, 1))
     # The fixed counts and the component range are GenConfig's rules.

@@ -251,11 +251,15 @@ def test_trajectory_restart_reproduces_endpoint():
             assert again.placement.servers == endpoint.placement.servers
 
 
-def test_hill_climb_respects_step_cap():
+def test_hill_climb_respects_step_cap(monkeypatch):
+    # Uncapped, the model descent takes 4 moves and the cost descent 2 from this start.
     inst, params, samples = seeded_setup(50, servers=4, devices=3, comp=(2, 3))
     start = random_feasible_state(inst, samples, params, 4)
-    _, traj, _ = hill_climb(inst, samples, params, start, max_steps=1)
-    assert len(traj.points) <= 2
+    monkeypatch.setattr(search, "PHASE2_STEP_CAP", 1)
+    _, predicted, _ = hill_climb(inst, samples, params, start, objective=MODEL)
+    assert len(predicted.points) == 2
+    _, cost, _ = hill_climb(inst, samples, params, start)
+    assert len(cost.points) == 3
 
 
 def test_hill_climb_never_beats_oracle_on_tiny_instances():

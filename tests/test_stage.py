@@ -77,6 +77,18 @@ def test_fit_single_point_is_degenerate_constant():
     assert model.predict_pair(100.0, -3.0) == pytest.approx(12.0, abs=1e-9)
 
 
+def test_fit_falls_back_to_the_target_mean_when_the_solve_fails(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    targets = [10.0, 20.0, 60.0]
+    pts = [(((float(i), 2.0 * i),), target) for i, target in enumerate(targets)]
+    model = fit_value_model(make_trajectories(pts))
+    for f1, f2 in GRID:
+        assert model.predict_pair(f1, f2) == 30.0
+
+
 def test_fit_requires_data():
     with pytest.raises(ValueError):
         fit_value_model([])
