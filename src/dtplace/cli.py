@@ -15,8 +15,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .costs import placement_from_triples, placement_to_triples
 from .domain import (
     GenConfig,
@@ -24,9 +22,8 @@ from .domain import (
     generate_instance,
     instance_from_dict,
     instance_to_dict,
-    listed,
+    member,
     real,
-    whole,
 )
 from .errors import ConfigurationError, NoFeasibleState, SizeCapExceeded
 from .harness import (
@@ -37,7 +34,7 @@ from .harness import (
     write_outputs,
 )
 from .oracle import DEFAULT_SIZE_CAP, exact_solve
-from .saa import SampleSet, SaaParams, draw_samples
+from .saa import SaaParams, SampleSet, draw_samples, samples_from_dict, samples_to_dict
 from .search import RunSummary, make_state
 from .stage import StageConfig
 
@@ -60,10 +57,9 @@ def _dump_json(data, path: str | None) -> None:
 
 
 def _read(path: str, what: str, parse):
-    """``parse`` of the JSON file at ``path``. An unreadable file, a missing key,
-    a value of the wrong type or range, a number :func:`~dtplace.domain.whole` or
-    :func:`~dtplace.domain.real` refuses, or an integer numpy cannot convert
-    raises a one-line :class:`ConfigurationError`."""
+    """``parse`` of the JSON file at ``path``. An unreadable file, text that is
+    not JSON and every :class:`ConfigurationError` of ``parse``, the one type
+    the parsers raise, raise a one-line :class:`ConfigurationError` naming ``path``."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -73,42 +69,16 @@ def _read(path: str, what: str, parse):
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(data)
-    except ConfigurationError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise ConfigurationError(f"malformed {what} {path}: {exc!r}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"malformed {what} {path}: {exc}") from exc
 
 
 def _load_instance(path: str) -> Instance:
-    def parse(data):
-        try:
-            return instance_from_dict(data["instance"] if "instance" in data else data)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"invalid instance {path}: {exc}") from exc
+    def parse(data):  # a gen output file or a bare instance
+        wrapped = isinstance(data, dict) and "instance" in data
+        return instance_from_dict(data["instance"] if wrapped else data)
 
     return _read(path, "instance", parse)
-
-
-def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
-    out = {
-        "components": int(samples.cycles.shape[0]),
-        "theta": int(samples.cycles.shape[1]),
-        "cycles": samples.cycles.tolist(),
-    }
-    if seed is not None:
-        out["seed"] = seed
-    return out
-
-
-def samples_from_dict(data: dict) -> SampleSet:
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"sample file must be a JSON object, got {type(data).__name__}")
-    cycles = np.array([[real(v) for v in listed(row)] for row in listed(data["cycles"])])
-    if cycles.shape != (whole(data["components"]), whole(data["theta"])):
-        raise ConfigurationError("sample file dimensions do not match its header")
-    if not (np.isfinite(cycles) & (cycles > 0)).all():
-        raise ConfigurationError("sample file cycles must be finite and positive")
-    return SampleSet(cycles=cycles)
 
 
 def _load_problem(args) -> tuple[Instance, SaaParams, SampleSet]:
@@ -228,14 +198,15 @@ def _cmd_validate(args) -> int:
     inst = _load_instance(args.instance)
 
     def parse(data):
-        """The placement and the alpha to judge it at: ``--alpha``, else the
-        record's, else the default."""
+        """The placement of a record or a bare triple list, and the alpha to
+        judge it at: ``--alpha``, else the record's, else the default."""
         if not isinstance(data, dict):
             data = {"placement": data}
         alpha = args.alpha
         if alpha is None:
             alpha = real(data["alpha"]) if "alpha" in data else SaaParams.alpha
-        return placement_from_triples(inst, data["placement"]), alpha
+            SaaParams(alpha=alpha, epsilon=alpha)  # refuses the record's alpha here, with the file
+        return placement_from_triples(inst, member(data, "placement")), alpha
 
     placement, alpha = _read(args.placement, "placement", parse)
     proportion = validate_p1_feasibility(inst, placement, alpha, args.validation_theta, args.seed)

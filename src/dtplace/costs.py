@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import Instance, listed, whole
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class FeatureVector:
 
 def _check_range(value: int, bound: int, name: str) -> None:
     if not 0 <= value < bound:
-        raise IndexError(f"{name} index {value} out of range [0, {bound})")
+        raise ConfigurationError(f"{name} index {value} out of range [0, {bound})")
 
 
 def _assignment(inst: Instance, pl: Placement) -> np.ndarray:
@@ -114,18 +115,19 @@ def placement_to_triples(inst: Instance, pl: Placement) -> list[tuple[int, int, 
 
 
 def placement_from_triples(inst: Instance, triples) -> Placement:
-    """Inverse of :func:`placement_to_triples`; every component must appear once."""
+    """Inverse of :func:`placement_to_triples`; every component must appear
+    once. Raises :class:`ConfigurationError` for every refusal."""
     servers = [-1] * inst.total_components
     for triple in listed(triples):
-        dev_id, comp_id, srv_id = listed(triple)
-        d, c, s = whole(dev_id) - 1, whole(comp_id) - 1, whole(srv_id) - 1
+        dev_id, comp_id, srv_id = (whole(v) for v in listed(triple, 3))
+        d, c, s = dev_id - 1, comp_id - 1, srv_id - 1
         _check_range(d, inst.num_devices, "device")
         _check_range(c, len(inst.devices[d].components), "component")
         _check_range(s, inst.num_servers, "server")
         k = inst.flat_index(d, c)
         if servers[k] != -1:
-            raise ValueError(f"component ({dev_id}, {comp_id}) assigned twice")
+            raise ConfigurationError(f"component ({dev_id}, {comp_id}) assigned twice")
         servers[k] = s
     if any(s == -1 for s in servers):
-        raise ValueError("placement does not cover every component")
+        raise ConfigurationError("placement does not cover every component")
     return Placement(servers=tuple(servers))

@@ -9,6 +9,7 @@ derived from the positions. Generation is a pure function of (config, seed).
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ class Instance:
                 mean_cycles[lo + c] = comp.mean_cycles
                 row = np.asarray(comp.exchange_kb, dtype=np.float64)
                 if row.shape != (hi - lo,):
-                    raise ValueError(
+                    raise ConfigurationError(
                         f"device {d + 1} component {c + 1} exchange vector length "
                         f"{row.size}, expected {hi - lo}"
                     )
@@ -365,63 +366,76 @@ def whole(value) -> int:
     if isinstance(value, (float, np.floating)) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"expected a whole number, got {value!r}")
+        raise ConfigurationError(f"expected a whole number, got {reprlib.repr(value)}")
     return int(value)
 
 
 def real(value) -> float:
     """``float(value)`` for a number read from a file, refusing strings, bools and huge integers."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"expected a number, got {value!r}")
+        raise ConfigurationError(f"expected a number, got {reprlib.repr(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise ValueError("expected a number, got an integer too large for a float") from None
+        raise ConfigurationError("expected a number, got an integer too large for a float")
 
 
-def listed(value):
-    """A list read from a file, refusing anything else, so that a string is
-    never read character by character."""
+def listed(value, length: int | None = None):
+    """A list (of ``length`` entries, when given) read from a file, refusing
+    anything else, so that a string is never read character by character."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"expected a list, got {value!r}")
+        raise ConfigurationError(f"expected a list, got {reprlib.repr(value)}")
+    if length is not None and len(value) != length:
+        raise ConfigurationError(f"expected a list of {length} entries, got {reprlib.repr(value)}")
     return value
+
+
+def member(obj, key: str):
+    """``obj[key]`` for a JSON object read from a file, refusing anything else and a missing key."""
+    if not isinstance(obj, dict):
+        raise ConfigurationError(f"expected an object, got {reprlib.repr(obj)}")
+    if key not in obj:
+        raise ConfigurationError(f"missing key {key!r}")
+    return obj[key]
 
 
 def _positioned(entries, owner: str):
     """A file's list of entries, each of whose ``id`` must be its 1-based position."""
     for i, entry in enumerate(listed(entries)):
-        if whole(entry["id"]) != i + 1:
-            raise ValueError(f"{owner} at position {i} has id {entry['id']!r}, expected {i + 1}")
+        if whole(member(entry, "id")) != i + 1:
+            raise ConfigurationError(
+                f"{owner} at position {i} has id {reprlib.repr(entry['id'])}, expected {i + 1}"
+            )
     return entries
 
 
-def instance_from_dict(data: dict) -> Instance:
+def instance_from_dict(data) -> Instance:
     """Inverse of :func:`instance_to_dict`. Other keys, such as the distance
     matrices older files carry, are ignored: distances follow from positions.
-    Raises :class:`ConfigurationError`, listing every problem, when the
-    instance fails :func:`validate_instance`."""
+    Raises :class:`ConfigurationError` for every refusal, and for an instance
+    that fails :func:`validate_instance` lists every problem."""
     servers = tuple(
         EdgeServer(
-            position=Point(real(s["x"]), real(s["y"])),
-            cost_per_cycle=real(s["cost_per_cycle"]),
-            capacity=real(s["capacity"]),
+            position=Point(real(member(s, "x")), real(member(s, "y"))),
+            cost_per_cycle=real(member(s, "cost_per_cycle")),
+            capacity=real(member(s, "capacity")),
         )
-        for s in _positioned(data["servers"], "server")
+        for s in _positioned(member(data, "servers"), "server")
     )
     devices = tuple(
         PhysicalDevice(
-            position=Point(real(d["x"]), real(d["y"])),
+            position=Point(real(member(d, "x")), real(member(d, "y"))),
             components=tuple(
                 DtComponent(
-                    mean_cycles=real(c["mean_cycles"]),
-                    offload_kb=real(c["offload_kb"]),
-                    exchange_kb=tuple(real(v) for v in listed(c["exchange_kb"])),
+                    mean_cycles=real(member(c, "mean_cycles")),
+                    offload_kb=real(member(c, "offload_kb")),
+                    exchange_kb=tuple(real(v) for v in listed(member(c, "exchange_kb"))),
                 )
-                for c in _positioned(d["components"], f"device {i + 1} component")
+                for c in _positioned(member(d, "components"), f"device {i + 1} component")
             ),
         )
-        for i, d in enumerate(_positioned(data["devices"], "device"))
+        for i, d in enumerate(_positioned(member(data, "devices"), "device"))
     )
-    unit_cost = real(data["unit_transport_cost"])
+    unit_cost = real(member(data, "unit_transport_cost"))
     inst = Instance(servers=servers, devices=devices, unit_transport_cost=unit_cost)
     return _checked(inst, "")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import baseline_nearest, baseline_random_best, baseline_restart_hillclimb
 from .costs import Placement
-from .domain import GenConfig, Instance, generate_instance, listed, real, whole
+from .domain import GenConfig, Instance, generate_instance, listed, member, real, whole
 from .errors import ConfigurationError, NoFeasibleState
 from .saa import SaaParams, SampleSet, draw_samples, overload_profile
 from .search import RunSummary
@@ -52,18 +52,12 @@ class ExperimentConfig:
         required. The optional keys are the other fields plus the fields of
         :class:`SaaParams` and :class:`StageConfig`, flattened; an absent key
         keeps its dataclass default, which the CLI flags read as well. Every
-        value goes through :func:`~dtplace.domain.whole` or
-        :func:`~dtplace.domain.real`, so nothing is truncated: a string or a
-        bool for a number, a fraction for a whole-number field, an integer
-        too large for a float and a string for a list are refused. Anything
-        that does not convert, a missing key, a key that is none of the
-        above (a typo would otherwise run at the default) and an invalid
-        value raise :class:`ConfigurationError`.
+        value goes through the readers of :mod:`dtplace.domain`, so nothing
+        is truncated. Every refusal raises :class:`ConfigurationError`: a
+        value a reader refuses, a key that is none of the above (a typo would
+        otherwise run at the default) and an invalid value.
         """
-        if not isinstance(raw, dict):
-            raise ConfigurationError(
-                f"experiment config must be a JSON object, got {type(raw).__name__}"
-            )
+        axis = member(raw, "axis")
         known = {f.name for c in (cls, SaaParams, StageConfig) for f in fields(c)}
         unknown = sorted(set(raw) - (known - {"saa", "stage"}))
         if unknown:
@@ -72,25 +66,17 @@ class ExperimentConfig:
         def present(**converters):
             return {key: conv(raw[key]) for key, conv in converters.items() if key in raw}
 
-        try:
-            lo, hi = (whole(v) for v in listed(raw.get("components_range", cls.components_range)))
-            cfg = cls(
-                axis=raw["axis"],
-                axis_values=tuple(whole(v) for v in listed(raw["axis_values"])),
-                replications=whole(raw["replications"]),
-                master_seed=whole(raw["master_seed"]),
-                components_range=(lo, hi),
-                saa=SaaParams(**present(alpha=real, epsilon=real, theta=whole)),
-                stage=StageConfig(**present(delta=real, max_iterations=whole)),
-                **present(num_servers=whole, num_devices=whole, baseline_trials=whole),
-            )
-        except ConfigurationError:
-            raise
-        except KeyError as exc:
-            raise ConfigurationError(f"experiment config is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"malformed experiment config: {exc}") from exc
-        return cfg
+        lo, hi = (whole(v) for v in listed(raw.get("components_range", cls.components_range), 2))
+        return cls(
+            axis=axis,
+            axis_values=tuple(whole(v) for v in listed(member(raw, "axis_values"))),
+            replications=whole(member(raw, "replications")),
+            master_seed=whole(member(raw, "master_seed")),
+            components_range=(lo, hi),
+            saa=SaaParams(**present(alpha=real, epsilon=real, theta=whole)),
+            stage=StageConfig(**present(delta=real, max_iterations=whole)),
+            **present(num_servers=whole, num_devices=whole, baseline_trials=whole),
+        )
 
     def __post_init__(self):
         self.validate()

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .domain import Instance
+from .domain import Instance, listed, member, real, whole
 from .errors import ConfigurationError
 from .costs import Placement
 from .seeding import stream
@@ -41,9 +41,11 @@ class SaaParams:
     theta: int = 1850
 
     def __post_init__(self):
-        if not 0 < self.epsilon <= self.alpha < 1:
+        if not 0 < self.alpha < 1:
+            raise ConfigurationError(f"need 0 < alpha < 1, got alpha={self.alpha}")
+        if not 0 < self.epsilon <= self.alpha:
             raise ConfigurationError(
-                f"need 0 < epsilon <= alpha < 1, got epsilon={self.epsilon}, alpha={self.alpha}"
+                f"need 0 < epsilon <= alpha, got epsilon={self.epsilon}, alpha={self.alpha}"
             )
         if self.theta < 1:
             raise ConfigurationError(f"theta must be >= 1, got {self.theta}")
@@ -64,6 +66,26 @@ class SampleSet:
     @property
     def theta(self) -> int:
         return self.cycles.shape[1]
+
+
+def samples_to_dict(samples: SampleSet, seed: int | None = None) -> dict:
+    """Plain-data form of a sample set (JSON-ready), with its seed when given."""
+    components, theta = samples.cycles.shape
+    out = {"components": components, "theta": theta, "cycles": samples.cycles.tolist()}
+    return out if seed is None else {**out, "seed": seed}
+
+
+def samples_from_dict(data) -> SampleSet:
+    """Inverse of :func:`samples_to_dict`: ``components`` rows of ``theta``
+    finite positive cycles. Raises :class:`ConfigurationError` for every refusal."""
+    shape = whole(member(data, "components")), whole(member(data, "theta"))
+    rows = [[real(v) for v in listed(row)] for row in listed(member(data, "cycles"))]
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ConfigurationError(f"cycles are not {shape[0]} rows of {shape[1]} scenarios")
+    cycles = np.array(rows, dtype=np.float64).reshape(shape)
+    if not (np.isfinite(cycles) & (cycles > 0)).all():
+        raise ConfigurationError("cycles must be finite and positive")
+    return SampleSet(cycles=cycles)
 
 
 @functools.cache

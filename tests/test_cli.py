@@ -196,6 +196,21 @@ def test_validate_reads_the_alpha_a_record_was_solved_at(tmp_path, instance_file
         assert f"alpha: {alpha}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alpha", ["2", "nan", "0"])
+def test_validate_refuses_an_alpha_flag_outside_0_1(tmp_path, instance_file, alpha, capsys):
+    """A bad ``--alpha`` gets a line about alpha only, not about an epsilon
+    the user never gave."""
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", *common_flags(instance_file), "--out", str(out)]) == 0
+    capsys.readouterr()
+    argv = ["validate", "--instance", str(instance_file), "--placement", str(out),
+            "--alpha", alpha, "--seed", "1"]
+    assert main(argv) == 2
+    assert one_line_error(capsys) == (
+        f"configuration error: need 0 < alpha < 1, got alpha={float(alpha)}\n"
+    )
+
+
 def test_oracle_proving_infeasibility_exits_3(tmp_path, instance_file, capsys):
     data = json.loads(instance_file.read_text())
     for server in data["instance"]["servers"]:
@@ -423,7 +438,7 @@ def test_samples_replay_equals_original_run(tmp_path, capsys):
 def rounding_boundary_flags(tmp_path):
     """Files and flags of ``rounding_boundary_case`` for a solving command;
     returns (inst, samples, params, flags)."""
-    from dtplace.cli import samples_to_dict
+    from dtplace import samples_to_dict
 
     inst, samples, params = rounding_boundary_case()
     path = tmp_path / "boundary.json"
@@ -461,8 +476,9 @@ def test_oracle_and_nearest_stay_within_budget_at_a_rounding_boundary(tmp_path, 
 
 
 def test_samples_file_roundtrip(tmp_path, instance_file):
-    from dtplace import SaaParams, draw_samples, instance_from_dict
-    from dtplace.cli import samples_from_dict, samples_to_dict
+    from dtplace import (
+        SaaParams, draw_samples, instance_from_dict, samples_from_dict, samples_to_dict,
+    )
 
     inst = instance_from_dict(json.loads(instance_file.read_text())["instance"])
     params = SaaParams(alpha=0.05, epsilon=0.025, theta=25)
@@ -608,8 +624,7 @@ def test_negative_seed_exits_2(tmp_path, instance_file, command, capsys):
          "theta-header-mismatch", "other-component-count"],
 )
 def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys):
-    from dtplace import SaaParams, draw_samples, instance_from_dict
-    from dtplace.cli import samples_to_dict
+    from dtplace import SaaParams, draw_samples, instance_from_dict, samples_to_dict
 
     inst = instance_from_dict(json.loads(instance_file.read_text())["instance"])
     payload = samples_to_dict(draw_samples(inst, SaaParams(0.05, 0.025, 50), 4))
@@ -621,13 +636,27 @@ def test_malformed_samples_file_exits_2(tmp_path, instance_file, mutate, capsys)
     assert one_line_error(capsys)
 
 
-@pytest.mark.parametrize("text", ["5", "null", '"x"'], ids=["number", "null", "string"])
-def test_non_object_samples_file_exits_2(tmp_path, instance_file, text, capsys):
-    path = tmp_path / "samples.json"
+NON_OBJECTS = {"number": "5", "null": "null", "string": '"x"', "list": "[1, 2]"}
+
+
+@pytest.mark.parametrize(
+    "role, text",
+    [(role, text) for role in ("samples", "instance", "experiment")
+     for text in NON_OBJECTS.values()],
+    ids=[f"{role}{name}" for role in ("", "instance-", "experiment-") for name in NON_OBJECTS],
+)
+def test_non_object_samples_file_exits_2(tmp_path, instance_file, role, text, capsys):
+    """A sample, instance or experiment file that holds no JSON object exits
+    2 with one line naming the file."""
+    path = tmp_path / f"{role}.json"
     path.write_text(text)
-    rc = main(["solve", *common_flags(instance_file), "--samples", str(path)])
-    assert rc == 2
-    assert "sample file must be a JSON object" in capsys.readouterr().err
+    argv = {
+        "samples": ["solve", *common_flags(instance_file), "--samples", str(path)],
+        "instance": ["solve", *common_flags(path)],
+        "experiment": ["experiment", str(path), "--out", str(tmp_path / "out")],
+    }[role]
+    assert main(argv) == 2
+    assert f"{path}: expected an object, got {json.loads(text)!r}" in one_line_error(capsys)
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-2"])
@@ -753,12 +782,14 @@ def test_instance_file_distance_matrices_are_ignored(tmp_path, instance_file):
           for label in (float("inf"), 1.9, True, HUGE)),
         {"placement": ["111", "121", "211", "221"]},
         *({"placement": [[1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]], "alpha": alpha}
-          for alpha in ("high", True, "0.05")),
+          for alpha in ("high", True, "0.05", 2.0, float("nan"))),
         {"placement": [["1", "1", "1"], ["1", "2", "1"], ["2", "1", "1"], ["2", "2", "1"]]},
+        {"placement": [[1, 1, 1, 1], [1, 2, 1], [2, 1, 1], [2, 2, 1]]},
     ],
     ids=["two-entry-triple", "no-placement-key", "unknown-server", "server-inf",
          "server-fraction", "server-bool", "server-huge", "digit-string-triples",
-         "alpha-string", "alpha-bool", "alpha-numeric-string", "string-triples"],
+         "alpha-string", "alpha-bool", "alpha-numeric-string", "alpha-two", "alpha-nan",
+         "string-triples", "four-entry-triple"],
 )
 def test_malformed_placement_file_exits_2(tmp_path, instance_file, payload, capsys):
     path = tmp_path / "placement.json"
@@ -885,11 +916,12 @@ MINIMAL_EXPERIMENT = {
         {"components_range": "13"},
         {"alpha": HUGE},
         {"theta": "30"},
+        {"components_range": [1, 2, 3]},
     ],
     ids=["axis-values-not-int", "axis-values-not-list", "range-not-int", "range-one-entry",
          "theta-not-number", "top-level-list", "axis-values-string", "axis-value-fraction",
          "replications-fraction", "replications-bool", "delta-bool", "range-string",
-         "alpha-huge", "theta-numeric-string"],
+         "alpha-huge", "theta-numeric-string", "range-three-entries"],
 )
 def test_malformed_experiment_config_exits_2(tmp_path, change, capsys):
     config = [MINIMAL_EXPERIMENT] if change is None else {**MINIMAL_EXPERIMENT, **change}
@@ -907,7 +939,10 @@ def test_unknown_experiment_key_exits_2(tmp_path, capsys):
     rc = main(["experiment", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err == "configuration error: unknown experiment config keys: thetaa\n"
+    assert err == (
+        f"configuration error: malformed experiment config {cfg_path}: "
+        "unknown experiment config keys: thetaa\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -258,8 +258,12 @@ def test_from_dict_defaults_and_conversions():
         "baseline_trials": 3,
     }
     assert ExperimentConfig.from_dict(full) == tiny_config()
-    for key, text in (("num_servers", "3"), ("components_range", ["1", 2]), ("alpha", "0.05")):
-        with pytest.raises(ConfigurationError, match="malformed experiment config"):
+    for key, text, refusal in (
+        ("num_servers", "3", "expected a whole number, got '3'"),
+        ("components_range", ["1", 2], "expected a whole number, got '1'"),
+        ("alpha", "0.05", "expected a number, got '0.05'"),
+    ):
+        with pytest.raises(ConfigurationError, match=f"^{refusal}$"):
             ExperimentConfig.from_dict({**full, key: text})
     with pytest.raises(ConfigurationError, match="missing key 'master_seed'"):
         ExperimentConfig.from_dict({k: v for k, v in required.items() if k != "master_seed"})
